@@ -44,7 +44,6 @@ from .problem import (
     scalarize_linear,
     scalarize_oriented,
     level_set,
-    scalar_level_set,
     function_distance,
 )
 from .config import load_problem, problem_from_mapping, problem_to_mapping
@@ -124,7 +123,6 @@ __all__ = [
     "scalarize_linear",
     "scalarize_oriented",
     "level_set",
-    "scalar_level_set",
     "function_distance",
     "load_problem",
     "problem_from_mapping",

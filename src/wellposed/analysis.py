@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .cone import OrderingCone
+from .diagnostics import INCONCLUSIVE
 from .errors import InputError, NumericalFailure
-from .problem import Box, VectorProblem
+from .problem import Box, VectorProblem, dual_vector
 
 EVIDENCE = "evidence_holds"
 COUNTEREXAMPLE = "counterexample_found"
-INCONCLUSIVE = "inconclusive"
 
 STABILIZE_TOL = 1e-6
 DIVERGE_SLOPE = 1.0
@@ -141,17 +140,6 @@ def is_star_quasiconvex(problem: VectorProblem, n_directions=8, n_samples=512,
                              n_samples * dirs.shape[0], detail)
 
 
-def _validate_dual_vector(problem: VectorProblem, xi):
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.shape != (problem.objective_dim,):
-        raise InputError("xi dimension mismatch")
-    if np.linalg.norm(xi) <= problem.cone.tol:
-        raise InputError("xi must be nonzero")
-    if np.any(problem.cone.generators @ xi < -problem.cone.tol):
-        raise InputError("xi must lie in the dual cone")
-    return xi
-
-
 def is_C_bounded_below(problem: VectorProblem, xi, box_schedule=BOX_SCHEDULE,
                        grid_resolution=65, stabilize_tol=STABILIZE_TOL,
                        diverge_slope=DIVERGE_SLOPE) -> StructuralVerdict:
@@ -161,22 +149,19 @@ def is_C_bounded_below(problem: VectorProblem, xi, box_schedule=BOX_SCHEDULE,
     the last doubling still drops the minimum by more than the slope
     threshold (or hits -inf), inconclusive otherwise.
     """
-    xi = _validate_dual_vector(problem, xi)
+    xi = dual_vector(problem, xi)
     if len(box_schedule) < 2:
         raise InputError("box_schedule needs at least two expansion factors")
     minima, argmins = [], []
     for factor in box_schedule:
         big = problem.domain.scaled(float(factor))
-        best, best_x = np.inf, None
-        for pts, _ in big.iter_lattice(grid_resolution):
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = problem.evaluate(pts) @ xi
-            vals = np.where(np.isnan(vals), np.inf, vals)
-            k = int(np.argmin(vals))
-            if vals[k] < best:
-                best, best_x = float(vals[k]), pts[k]
-        minima.append(best)
-        argmins.append(best_x)
+        vals = big.map_lattice(grid_resolution, lambda pts: problem.evaluate(pts) @ xi)
+        vals = np.where(np.isnan(vals), np.inf, vals)
+        k = int(np.argmin(vals))
+        minima.append(float(vals[k]))
+        # no argmin when every value is +inf or NaN
+        attained = vals[k] < np.inf
+        argmins.append(big.lattice_points_at(grid_resolution, [k])[0] if attained else None)
     drop = minima[-1] - minima[-2]
     detail = {"minima": minima, "box_schedule": tuple(box_schedule), "xi": xi}
     if not np.isfinite(minima[-1]) or drop < -diverge_slope:

@@ -536,9 +536,12 @@ def _emit(cfg: RunConfig, text: str):
 
 def _vector(text):
     try:
-        return tuple(float(t) for t in text.replace(" ", "").split(",") if t != "")
+        vec = tuple(float(t) for t in text.replace(" ", "").split(",") if t != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated vector: {text!r}")
+    if not np.all(np.isfinite(vec)):
+        raise argparse.ArgumentTypeError(f"vector entries must be finite: {text!r}")
+    return vec
 
 
 def build_parser() -> argparse.ArgumentParser:

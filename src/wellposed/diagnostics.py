@@ -16,7 +16,16 @@ import numpy as np
 
 from .distance import oriented_distance_batch
 from .errors import HypothesisNotMet, InputError, NotInteriorPoint, WellposedError
-from .problem import ScalarProblem, VectorProblem, diameter, scalarize_linear, scalarize_oriented
+from .problem import (
+    LATTICE_CAP,
+    ScalarProblem,
+    VectorProblem,
+    diameter,
+    finite_image,
+    level_set,
+    scalarize_linear,
+    scalarize_oriented,
+)
 
 YES = "yes"
 NO = "no"
@@ -89,7 +98,7 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201,
     rtol = _resolved_tol(problem, grid_resolution, tol)
     spacing = problem.domain.lattice_spacing(grid_resolution)
     cone = problem.cone
-    f_bar = problem.evaluate_one(x_bar)
+    f_bar = finite_image(problem, x_bar)
 
     witnesses = {}
     efficient, weakly = YES, YES
@@ -102,6 +111,8 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201,
     zero_maxdist = 0.0
     zero_far_witness = None
 
+    # streamed, not mapped: storing the per-point arrays below would cost
+    # over 100 MB on a lattice at the store cap
     for pts, _ in problem.domain.iter_lattice(grid_resolution):
         with np.errstate(over="ignore", invalid="ignore"):
             vals = problem.evaluate(pts)
@@ -174,11 +185,8 @@ def weff_via_distance(problem: VectorProblem, x_bar, grid_resolution=201,
     itself attains 0)."""
     rtol = _resolved_tol(problem, grid_resolution, tol)
     sp = scalarize_oriented(problem, x_bar)
-    best = 0.0  # value at x_bar itself
-    for pts, _ in problem.domain.iter_lattice(grid_resolution):
-        with np.errstate(invalid="ignore"):
-            v = float(np.nanmin(sp.evaluate(pts)))
-        best = min(best, v)
+    values = problem.domain.map_lattice(grid_resolution, sp.evaluate)
+    best = min(0.0, float(np.nanmin(values)))  # x_bar itself attains 0
     return bool(best >= -rtol)
 
 
@@ -228,15 +236,6 @@ def _aggregate(verdicts):
     return INCONCLUSIVE
 
 
-def _scalar_lattice_values(sp: ScalarProblem, grid_resolution):
-    total = sp.domain.lattice_size(grid_resolution)
-    values = np.empty(total)
-    for pts, start in sp.domain.iter_lattice(grid_resolution):
-        with np.errstate(over="ignore", invalid="ignore"):
-            values[start:start + pts.shape[0]] = sp.evaluate(pts)
-    return values
-
-
 def tykhonov_diagnostic(sp: ScalarProblem, level_schedule=None, grid_resolution=201,
                         tol_abs=TOL_ABS, decay_ratio=DECAY_RATIO) -> WellPosednessReport:
     """Level-set diameter decay above the lattice infimum (scalar problems).
@@ -247,7 +246,7 @@ def tykhonov_diagnostic(sp: ScalarProblem, level_schedule=None, grid_resolution=
     schedule = _validate_schedule(
         DEFAULT_ALPHA_SCHEDULE if level_schedule is None else level_schedule,
         "level_schedule")
-    values = _scalar_lattice_values(sp, grid_resolution)
+    values = sp.domain.map_lattice(grid_resolution, sp.evaluate)
     if not np.all(np.isfinite(values)):
         raise InputError("objective must be finite on the lattice")
     inf = float(values.min())
@@ -303,32 +302,27 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
             if not problem.cone.contains(c, strict=True):
                 raise NotInteriorPoint("every direction must be strictly interior to the cone")
 
-    f_bar = problem.evaluate_one(x_bar)
-    cone = problem.cone
+    f_bar = finite_image(problem, x_bar)
+    box, cone = problem.domain, problem.cone
     diams = np.zeros((schedule.size, dirs.shape[0]))
     counts = np.zeros((schedule.size, dirs.shape[0]), dtype=int)
-    spacing = problem.domain.lattice_spacing(grid_resolution)
+    spacing = box.lattice_spacing(grid_resolution)
 
-    total = problem.domain.lattice_size(grid_resolution)
-    store = total <= 2_000_000
-    if store:
-        margins_chunks, pts_chunks = [], []
-        for pts, _ in problem.domain.iter_lattice(grid_resolution):
-            with np.errstate(over="ignore", invalid="ignore"):
-                margins_chunks.append(problem.evaluate(pts) @ cone.dual_generators.T)
-            pts_chunks.append(pts)
-        img_margins = np.vstack(margins_chunks)  # <g, f(x)> per lattice point
-        lattice_pts = np.vstack(pts_chunks)
+    if box.lattice_size(grid_resolution) <= LATTICE_CAP:
+        # <g, f(x)> per lattice point and dual generator g
+        img_margins = box.map_lattice(
+            grid_resolution, lambda pts: problem.evaluate(pts) @ cone.dual_generators.T)
         for j, c in enumerate(dirs):
             for i, alpha in enumerate(schedule):
-                y = f_bar + alpha * c
-                bound = cone.dual_generators @ y
+                bound = cone.dual_generators @ (f_bar + alpha * c)
                 with np.errstate(invalid="ignore"):
                     mask = np.all(img_margins <= bound[None, :] + cone.tol, axis=1)
-                counts[i, j] = int(mask.sum())
-                diams[i, j] = diameter(lattice_pts[mask]) if counts[i, j] else 0.0
+                members = np.flatnonzero(mask)
+                counts[i, j] = members.size
+                if members.size:
+                    diams[i, j] = diameter(box.lattice_points_at(grid_resolution, members))
     else:
-        from .problem import level_set
+        # above the store cap, trade time for memory: one lattice pass per level
         for j, c in enumerate(dirs):
             for i, alpha in enumerate(schedule):
                 ps = level_set(problem, f_bar + alpha * c, grid_resolution)

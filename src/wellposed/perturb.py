@@ -31,6 +31,7 @@ from .errors import (
     NoBoundingFunctional,
 )
 from .problem import (
+    LATTICE_CAP,
     MetricParams,
     PerturbationTerm,
     ScalarProblem,
@@ -144,7 +145,7 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
     if epsilon <= 0 or r <= 0:
         raise InputError("epsilon and r must be positive")
     total = sp.domain.lattice_size(grid_resolution)
-    if total > 2_000_000:
+    if total > LATTICE_CAP:
         raise InputError("lattice too large for the exhaustive Ekeland step")
     points = sp.domain.lattice(grid_resolution)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -287,15 +288,14 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201,
     j, g, d_f_g = _smallest_feasible_j(problem, mp, float(sigma), anchor, k0r)
 
     g_xi = scalarize_linear(g, xi_bar)
-    values_min, radius = np.inf, 0.0
-    for pts, _ in g_xi.domain.iter_lattice(grid_resolution):
-        vals = g_xi.evaluate(pts)
-        values_min = min(values_min, float(vals.min()))
-    for pts, _ in g_xi.domain.iter_lattice(grid_resolution):
-        vals = g_xi.evaluate(pts)
-        sel = vals <= values_min + 1.0
-        if sel.any():
-            radius = max(radius, float(np.linalg.norm(pts[sel] - anchor[None, :], axis=1).max()))
+    box = g_xi.domain
+    values = box.map_lattice(grid_resolution, g_xi.evaluate)
+    if not np.all(np.isfinite(values)):
+        raise InputError("objective must be finite on the lattice")
+    argmin_flat = int(values.argmin())
+    near = box.lattice_points_at(grid_resolution,
+                                 np.flatnonzero(values <= values[argmin_flat] + 1.0))
+    radius = float(np.linalg.norm(near - anchor[None, :], axis=1).max())
 
     k0r_norm = float(np.linalg.norm(k0r))
     ks = np.arange(0, mp.truncation + 1, dtype=float)
@@ -305,14 +305,7 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201,
 
     spacing = problem.domain.lattice_spacing(grid_resolution)
     r = max(2.0 * radius, 2.0 * spacing)
-    argmin_flat = None
-    best = np.inf
-    for pts, start in g_xi.domain.iter_lattice(grid_resolution):
-        vals = g_xi.evaluate(pts)
-        k = int(np.argmin(vals))
-        if vals[k] < best:
-            best, argmin_flat = float(vals[k]), start + k
-    start_point = g_xi.domain.lattice_points_at(grid_resolution, [argmin_flat])[0]
+    start_point = box.lattice_points_at(grid_resolution, [argmin_flat])[0]
     ek = ekeland_point(g_xi, start_point, epsilon, r, grid_resolution)
 
     term = PerturbationTerm(epsilon, 1.0, ek.x_hat, k0r)

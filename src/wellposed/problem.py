@@ -11,7 +11,7 @@ diameter-flavored tolerance in the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -69,11 +69,6 @@ class Box:
     def clip(self, points):
         return np.clip(points, self.lower, self.upper)
 
-    def radius_from(self, x):
-        """Distance from x to the farthest box point (a corner)."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return float(np.linalg.norm(np.maximum(np.abs(self.lower - x), np.abs(self.upper - x))))
-
     def corners(self):
         if self.dim > 16:
             raise InputError("corner enumeration capped at dimension 16")
@@ -107,7 +102,7 @@ class Box:
         total = self.lattice_size(resolution)
         if total > LATTICE_CAP:
             raise InputError(
-                f"lattice of {total} points exceeds cap {LATTICE_CAP}; use iter_lattice"
+                f"lattice of {total} points exceeds cap {LATTICE_CAP}; use map_lattice"
             )
         axes = self._axes(resolution)
         grids = np.meshgrid(*axes, indexing="ij")
@@ -123,6 +118,21 @@ class Box:
             multi = np.unravel_index(idx, shape)
             pts = np.stack([axes[j][multi[j]] for j in range(self.dim)], axis=1)
             yield pts, start
+
+    def map_lattice(self, resolution, fn):
+        """fn applied to every lattice chunk, stacked in C order.
+
+        fn maps an (n, dim) chunk to n values or n rows.  Overflow and
+        invalid operations are silenced; callers check finiteness.
+        """
+        out = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for pts, start in self.iter_lattice(resolution):
+                vals = np.asarray(fn(pts))
+                if out is None:
+                    out = np.empty((self.lattice_size(resolution),) + vals.shape[1:], vals.dtype)
+                out[start:start + pts.shape[0]] = vals
+        return out
 
     def lattice_points_at(self, resolution, flat_indices):
         """Reconstruct lattice points from flat indices without a grid pass."""
@@ -193,7 +203,7 @@ def diameter(point_set):
     if n <= 1:
         return 0.0
     if n <= _DIRECT_DIAMETER_MAX:
-        return float(pdist(pts).max())
+        return _pairwise_max(pts)
     mean = pts.mean(axis=0)
     centered = pts - mean
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
@@ -205,10 +215,7 @@ def diameter(point_set):
         return float(coords.max() - coords.min())
     try:
         hull = ConvexHull(coords)
-        verts = coords[hull.vertices]
-        if verts.shape[0] <= _DIRECT_DIAMETER_MAX:
-            return float(pdist(verts).max())
-        return _pairwise_max(verts)
+        return _pairwise_max(coords[hull.vertices])
     except QhullError:
         return _pairwise_max(coords)
 
@@ -337,8 +344,8 @@ def perturb(problem: VectorProblem, term: PerturbationTerm) -> VectorProblem:
     return replace(problem, label=problem.label + "+pert", evaluator=shifted)
 
 
-def scalarize_linear(problem: VectorProblem, xi) -> ScalarProblem:
-    """Composition <xi, f(.)> for xi in the dual cone, xi != 0."""
+def dual_vector(problem: VectorProblem, xi):
+    """xi as a flat array, checked to be a nonzero dual-cone vector."""
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape != (problem.objective_dim,):
         raise InputError("xi dimension mismatch")
@@ -346,6 +353,20 @@ def scalarize_linear(problem: VectorProblem, xi) -> ScalarProblem:
         raise InputError("xi must be nonzero")
     if np.any(problem.cone.generators @ xi < -problem.cone.tol):
         raise InputError("xi must lie in the dual cone")
+    return xi
+
+
+def finite_image(problem: VectorProblem, x_bar):
+    """f(x_bar), refused when non-finite: no comparison against it is meaningful."""
+    f_bar = problem.evaluate_one(x_bar)
+    if not np.all(np.isfinite(f_bar)):
+        raise InputError("f(x_bar) must be finite")
+    return f_bar
+
+
+def scalarize_linear(problem: VectorProblem, xi) -> ScalarProblem:
+    """Composition <xi, f(.)> for xi in the dual cone, xi != 0."""
+    xi = dual_vector(problem, xi)
     base = problem.evaluator
 
     def ev(points):
@@ -363,7 +384,7 @@ def scalarize_oriented(problem: VectorProblem, x_bar) -> ScalarProblem:
     x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
     if not problem.domain.contains(x_bar, slack=1e-9):
         raise InputError("x_bar must lie in the domain box")
-    f_bar = problem.evaluate_one(x_bar)
+    f_bar = finite_image(problem, x_bar)
     base, cone = problem.evaluator, problem.cone
 
     def ev(points):
@@ -382,28 +403,10 @@ def level_set(problem: VectorProblem, y, grid_resolution) -> PointSet:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != (problem.objective_dim,):
         raise InputError("level vector dimension mismatch")
-    hits = []
-    for pts, _ in problem.domain.iter_lattice(grid_resolution):
-        with np.errstate(invalid="ignore"):
-            mask = problem.cone.contains_batch(y[None, :] - problem.evaluate(pts))
-        if mask.any():
-            hits.append(pts[mask])
-    if hits:
-        return PointSet(np.vstack(hits))
-    return PointSet(np.empty((0, problem.decision_dim)))
-
-
-def scalar_level_set(sp: ScalarProblem, a, grid_resolution) -> PointSet:
-    """Lattice points with sp(x) <= a."""
-    hits = []
-    for pts, _ in sp.domain.iter_lattice(grid_resolution):
-        with np.errstate(invalid="ignore"):
-            mask = sp.evaluate(pts) <= a
-        if mask.any():
-            hits.append(pts[mask])
-    if hits:
-        return PointSet(np.vstack(hits))
-    return PointSet(np.empty((0, sp.decision_dim)))
+    box, cone = problem.domain, problem.cone
+    mask = box.map_lattice(
+        grid_resolution, lambda pts: cone.contains_batch(y[None, :] - problem.evaluate(pts)))
+    return PointSet(box.lattice_points_at(grid_resolution, np.flatnonzero(mask)))
 
 
 # ---------------------------------------------------------------------------

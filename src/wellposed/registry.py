@@ -373,10 +373,6 @@ def hilbert_level_diameter(d: int, level=0.01):
     resolution, with the spacing used; the exact value is 2*d*sqrt(level)."""
     sp = hilbert_scalar(d)
     res = hilbert_resolution(d)
-    chunks = []
-    for pts, _ in sp.domain.iter_lattice(res):
-        sel = sp.evaluate(pts) <= level + 1e-9
-        if sel.any():
-            chunks.append(pts[sel])
-    measured = diameter(np.vstack(chunks)) if chunks else 0.0
+    sel = np.flatnonzero(sp.domain.map_lattice(res, sp.evaluate) <= level + 1e-9)
+    measured = diameter(sp.domain.lattice_points_at(res, sel)) if sel.size else 0.0
     return measured, sp.domain.lattice_spacing(res)

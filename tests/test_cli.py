@@ -78,6 +78,17 @@ def test_distance_requires_target_vector(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["distance", "--problem", "quad-pair", "--y", "1,nan"],
+    ["classify", "--problem", "quad-pair", "--point", "inf"],
+    ["tykhonov-check", "--problem", "quad-pair", "--xi", "1,-inf"],
+])
+def test_non_finite_vectors_exit_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_config_file_problem(tmp_path):
     cfg = tmp_path / "p.yaml"
     cfg.write_text(CONFIG_TEXT)

@@ -87,6 +87,19 @@ def test_classify_rejects_outside_domain():
         classify_point(quad_pair(), [5.0], 51)
 
 
+def test_non_finite_image_at_x_bar_is_refused():
+    # NaN only at one lattice point; a scan against NaN finds no dominator
+    x_nan = np.linspace(-1.0, 1.0, 201)[130]
+    p = prob(lambda x: np.where(x == x_nan, np.nan, x ** 2).repeat(2, axis=1),
+             2, [-1.0], [1.0])
+    with pytest.raises(InputError):
+        classify_point(p, [x_nan])
+    with pytest.raises(InputError):
+        weff_via_distance(p, [x_nan])
+    with pytest.raises(InputError):
+        dh_diagnostic(p, [x_nan], require_efficient=False)
+
+
 def test_weff_matches_distance_route():
     assert weff_via_distance(quad_pair(), [0.0], 201) is True
     assert weff_via_distance(x_neg_xex(), [-1.0], 201) is False

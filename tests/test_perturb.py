@@ -5,6 +5,7 @@ from wellposed import (
     Box,
     CertificateFailure,
     HypothesisNotMet,
+    InputError,
     NoBoundingFunctional,
     VectorProblem,
     WELL_POSED,
@@ -150,6 +151,14 @@ def test_pipeline_certificate_geometry():
     assert cert.epsilon > 0 and cert.r > 0
     assert np.linalg.norm(cert.x_hat) <= cert.sublevel_radius + 0.011
     assert cert.ekeland.iterations >= 0
+
+
+def test_pipeline_refuses_non_finite_lattice_image():
+    x_nan = np.linspace(-2.0, 2.0, 201)[115]
+    p = prob(lambda x: np.where(x == x_nan, np.nan, x ** 2).repeat(2, axis=1),
+             2, [-2.0], [2.0])
+    with pytest.raises(InputError, match="finite on the lattice"):
+        density_pipeline(p, 0.5, grid_resolution=201)
 
 
 def test_pipeline_refuses_unbounded_problem():

@@ -18,6 +18,8 @@ from wellposed import (
     scalarize_oriented,
 )
 
+from wellposed.problem import CHUNK
+
 from oracles import metric_series
 
 
@@ -42,6 +44,25 @@ def test_box_lattice_geometry():
     assert pts.shape == (441, 2)
     np.testing.assert_allclose(pts.min(axis=0), [-1.0, -1.0])
     np.testing.assert_allclose(pts.max(axis=0), [1.0, 1.0])
+
+
+def test_map_lattice_across_chunks_matches_one_call():
+    box = Box(np.array([-1.0, -2.0]), np.array([3.0, 1.0]))
+    assert box.lattice_size(513) > CHUNK  # two chunks
+    pts = box.lattice(513)
+
+    def scalar(x):
+        return x[:, 0] * x[:, 1] ** 2 - 3.0 * x[:, 0]
+
+    def rows(x):
+        return np.stack([x[:, 0] * x[:, 1], x[:, 1] ** 2, x[:, 0] - x[:, 1]], axis=1)
+
+    got = box.map_lattice(513, scalar)
+    assert got.shape == (pts.shape[0],)
+    assert np.array_equal(got, scalar(pts))
+    got = box.map_lattice(513, rows)
+    assert got.shape == (pts.shape[0], 3)
+    assert np.array_equal(got, rows(pts))
 
 
 def test_nearest_lattice_point_snaps():
