@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .diagnostics import INCONCLUSIVE
 from .errors import InputError, NumericalFailure
@@ -230,6 +229,8 @@ def _simplex_lattice(dim, subdivisions):
 
 
 def _lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
+    from scipy.optimize import linprog
+
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
                   method="highs")
     if not res.success:

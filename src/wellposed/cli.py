@@ -140,17 +140,22 @@ def _report_record(report):
 # problem loading
 
 
+def _given(value, default):
+    """An option's value, or ``default`` when it was not given; 0 counts as given."""
+    return default if value is None else value
+
+
 def _resolve(cfg: RunConfig):
     """Problem plus per-problem defaults (resolution, designated point)."""
     if cfg.problem and cfg.config:
         raise InputError("pass either --problem or --config, not both")
     if cfg.config:
         problem = load_problem(cfg.config)
-        return problem, cfg.grid or 201, cfg.point, None
+        return problem, _given(cfg.grid, 201), cfg.point, None
     if cfg.problem:
         entry = registry.get(cfg.problem)
         point = cfg.point if cfg.point is not None else entry.designated
-        return entry.build(), cfg.grid or entry.resolution, point, entry
+        return entry.build(), _given(cfg.grid, entry.resolution), point, entry
     raise InputError("a problem source is required (--problem label or --config file)")
 
 
@@ -169,7 +174,7 @@ def _run_distance(cfg: RunConfig):
         raise InputError("distance requires --y with objective_dim components")
     y = np.asarray(cfg.y, dtype=float)
     res = oriented_distance(problem.cone, y)
-    n_samples = cfg.n if cfg.n else 2048
+    n_samples = _given(cfg.n, 2048)
     dirs = problem.cone.sample_dual_sphere(n_samples, seed=cfg.seed)
     sampled = oriented_distance_sampled(problem.cone, y, dirs)
     rec = {
@@ -281,7 +286,7 @@ def _run_perturb(cfg: RunConfig):
     problem, resolution, point, _ = _resolve(cfg)
     if point is None:
         raise InputError("perturb requires --point (the efficient center)")
-    n = cfg.n if cfg.n else 1
+    n = _given(cfg.n, 1)
     perturbed, cert = tikhonov_regularize(problem, point, n, grid_resolution=resolution)
     rec = {
         "record": "regularization-certificate",
@@ -337,14 +342,14 @@ def _run_pipeline(cfg: RunConfig):
 def _run_probe(cfg: RunConfig):
     if cfg.config:
         problems = [load_problem(cfg.config)]
-        resolution = cfg.grid or 201
+        resolution = _given(cfg.grid, 201)
     elif cfg.problem:
         entries = [registry.get(label.strip()) for label in cfg.problem.split(",")]
         problems = [e.build() for e in entries]
-        resolution = cfg.grid or max(e.resolution for e in entries)
+        resolution = _given(cfg.grid, max(e.resolution for e in entries))
     else:
         raise InputError("probe needs --problem labels or --config")
-    report = genericity_probe(problems, cfg.sigma, n_max=cfg.n or 8,
+    report = genericity_probe(problems, cfg.sigma, n_max=_given(cfg.n, 8),
                               grid_resolution=resolution, seed=cfg.seed)
     records = [_header(cfg, resolution)]
     for member in report.members:
@@ -465,7 +470,7 @@ def replicate(label: str):
 def _run_replicate(cfg: RunConfig):
     if not cfg.problem:
         raise InputError("replicate requires --problem with a registry label")
-    records = [_header(cfg, cfg.grid or "registry-default")]
+    records = [_header(cfg, _given(cfg.grid, "registry-default"))]
     all_ok = True
     for label in cfg.problem.split(","):
         records.append({"record": "replicate", "label": label.strip()})

@@ -15,9 +15,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import ConeValidationError, InputError, NotInteriorPoint
 
@@ -26,6 +23,13 @@ TOL_MEMBERSHIP = 1e-9
 # Facet enumeration is combinatorial in the generator count; above this
 # ambient dimension the dual description must be user-supplied.
 FACET_ENUM_MAX_DIM = 4
+
+# Margin a generator must clear along the normalized generator sum for the
+# pointedness LP to be skipped.  The LP's feasibility tolerances are
+# absolute, so it rejects some pointed cones whose generators are tiny or of
+# very different lengths; the margin is taken both absolutely and relative
+# to the longest generator so that a skip never accepts such a cone.
+POINTED_CERT_MARGIN = 1e-6
 
 
 def _as_matrix(vectors, ambient_dim, what):
@@ -80,6 +84,8 @@ def _enumerate_facet_normals(generators, tol):
 def _is_pointed(generators):
     """LP feasibility: the cone contains a line iff some nonzero nonnegative
     combination of generators is the negative of another one."""
+    from scipy.optimize import linprog
+
     n, m = generators.shape
     a_eq = np.hstack([generators.T, generators.T])      # G lam + G mu = 0
     a_eq = np.vstack([a_eq, np.concatenate([np.ones(n), np.zeros(n)])])  # sum lam = 1
@@ -115,7 +121,14 @@ class OrderingCone:
         if np.any(norms <= self.tol):
             raise InputError("generators must be nonzero")
 
-        if not _is_pointed(gens):
+        unit = gens / norms[:, None]
+        s = unit.sum(axis=0)
+        sn = np.linalg.norm(s)
+        # Gordan's alternative: a functional positive on every generator
+        # rules out a line in the cone, so the LP is only needed without one.
+        margin = POINTED_CERT_MARGIN * max(1.0, norms.max())
+        certified = sn > 0 and np.min(gens @ (s / sn)) > margin
+        if not certified and not _is_pointed(gens):
             raise ConeValidationError("cone is not pointed (contains a line)")
 
         if self.dual_generators is None:
@@ -134,9 +147,6 @@ class OrderingCone:
                 raise ConeValidationError("supplied dual generators are not valid for the generators")
 
         if self.k0 is None:
-            unit = gens / norms[:, None]
-            s = unit.sum(axis=0)
-            sn = np.linalg.norm(s)
             if sn <= self.tol:
                 raise ConeValidationError("generator sum vanished; cone cannot be solid")
             k0 = s / sn
@@ -238,6 +248,9 @@ class OrderingCone:
                 ok = norms > self.tol
                 rows.extend(combos[ok] / norms[ok, None])
         if len(rows) < n:
+            from scipy.special import ndtri
+            from scipy.stats import qmc
+
             want = n - len(rows)
             u = qmc.Sobol(d=f, scramble=True, seed=seed).random_base2(
                 max(3, int(np.ceil(np.log2(2 * want)))))

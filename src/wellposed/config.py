@@ -10,7 +10,6 @@ text can never execute code.
 from __future__ import annotations
 
 import numpy as np
-import yaml
 
 from .cone import OrderingCone
 from .errors import ConfigError
@@ -71,6 +70,8 @@ def problem_from_mapping(doc) -> VectorProblem:
 
 
 def load_problem(path) -> VectorProblem:
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)

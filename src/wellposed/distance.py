@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .cone import OrderingCone
 from .errors import InputError, NumericalFailure
@@ -38,6 +37,8 @@ class OrientedDistanceResult:
 
 def project_dual_cone(cone: OrderingCone, y):
     """Exact projection of y onto the dual cone C* (nonnegative least squares)."""
+    from scipy.optimize import nnls
+
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != (cone.ambient_dim,):
         raise InputError(f"expected vector of length {cone.ambient_dim}")

@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import pdist
 
 from .cone import OrderingCone
 from .distance import oriented_distance_batch
@@ -180,7 +178,14 @@ class PointSet:
 
 def _pairwise_max(points):
     n = points.shape[0]
+    if points.shape[1] == 1:
+        # rounding is monotone and sqrt(fl(x^2)) == |x| in binary64 (barring
+        # over- or underflow of the square), so on finite points this equals
+        # pdist(points).max() bit for bit
+        return float(points.max() - points.min())
     if n <= _DIRECT_DIAMETER_MAX:
+        from scipy.spatial.distance import pdist
+
         return float(pdist(points).max())
     best = 0.0
     for start in range(0, n, 1024):
@@ -213,6 +218,8 @@ def diameter(point_set):
     coords = centered @ vt[:rank].T
     if rank == 1:
         return float(coords.max() - coords.min())
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(coords)
         return _pairwise_max(coords[hull.vertices])

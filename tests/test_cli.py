@@ -89,6 +89,21 @@ def test_non_finite_vectors_exit_two(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["classify", "--problem", "biquad", "--point", "0.3", "--grid", "0"],
+     "grid resolution must be >= 2"),
+    (["probe", "--problem", "quad-pair", "--grid", "0"], "grid resolution must be >= 2"),
+    (["distance", "--problem", "quad-pair", "--y", "1,1", "--n", "0"], "n must be >= 1"),
+    (["perturb", "--problem", "zero-function", "--point", "0", "--n", "0"],
+     "n must be a positive integer"),
+    (["probe", "--problem", "quad-pair", "--n", "0"], "n_max must be >= 1"),
+], ids=["classify-grid", "probe-grid", "distance-n", "perturb-n", "probe-n"])
+def test_zero_grid_and_n_are_not_replaced_by_defaults(tmp_path, argv, reason):
+    code, text = run_cli(tmp_path, *argv)
+    assert code == 2
+    assert parse_records(text)[0]["reason"] == reason
+
+
 def test_config_file_problem(tmp_path):
     cfg = tmp_path / "p.yaml"
     cfg.write_text(CONFIG_TEXT)

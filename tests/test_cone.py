@@ -1,9 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wellposed import InputError, NotInteriorPoint, OrderingCone, orthant
+from wellposed import (
+    ConeValidationError,
+    InputError,
+    NotInteriorPoint,
+    OrderingCone,
+    load_problem,
+    orthant,
+)
+from wellposed import cone as cone_module
+
+DIAGNOSE3D = Path(__file__).resolve().parents[1] / "bench" / "diagnose3d.yaml"
 
 
 def sorted_rows(a):
@@ -82,6 +94,68 @@ def test_sample_dual_sphere_deterministic():
 def test_rejects_non_pointed_cone():
     with pytest.raises(InputError):
         OrderingCone(2, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+
+
+def test_non_pointed_cone_is_decided_by_the_lp(monkeypatch):
+    calls = []
+    lp = cone_module._is_pointed
+    monkeypatch.setattr(cone_module, "_is_pointed", lambda g: calls.append(g) or lp(g))
+    with pytest.raises(ConeValidationError, match="not pointed"):
+        OrderingCone(2, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    assert len(calls) == 1
+
+
+def test_certified_cones_build_without_the_lp(monkeypatch):
+    def no_lp(generators):
+        raise AssertionError("pointedness LP called for a certified cone")
+
+    monkeypatch.setattr(cone_module, "_is_pointed", no_lp)
+    for m in range(1, 5):
+        assert orthant(m).ambient_dim == m
+    OrderingCone(2, [[1.0, 0.0], [1.0, 2.0]])
+    assert load_problem(DIAGNOSE3D).cone.generators.shape == (6, 3)
+
+
+@pytest.mark.parametrize("gens", [
+    1e-7 * np.array([[1.0, 0.01], [-1.0, 0.01]]),
+    np.array([[0.0, 2e-6, 0.0], [-2e-6, 0.0, 0.0], [1e-3, 0.0, 2e-3], [0.0, 0.0, 1e-3],
+              [-1e9, 0.0, -1e9]]),
+])
+def test_lp_rejection_of_badly_scaled_cone_is_kept(gens):
+    # both cones are pointed, but the LP's absolute tolerances reject them
+    # (tiny generators; lengths from 1e-6 to 1e9), and the skip must not
+    # accept what the LP rejects
+    assert not cone_module._is_pointed(gens)
+    with pytest.raises(ConeValidationError, match="not pointed"):
+        OrderingCone(gens.shape[1], gens)
+
+
+def _pointedness_verdict(m, gens):
+    try:
+        OrderingCone(m, gens)
+    except ConeValidationError as exc:
+        if "not pointed" in str(exc):
+            return False
+    except InputError:
+        pass  # raised after the pointedness check: facets, solidity, k0
+    return True
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(2, 4), st.data())
+def test_constructor_agrees_with_pointedness_lp(m, data):
+    n = data.draw(st.integers(1, 5))
+    entries = data.draw(st.lists(st.integers(-3, 3), min_size=n * m, max_size=n * m))
+    gens = np.array(entries, dtype=float).reshape(n, m)
+    if data.draw(st.booleans()):
+        gens = np.vstack([gens, -gens[data.draw(st.integers(0, n - 1))]])
+    # lengths from tiny to huge, mixed within one set: the LP's absolute
+    # tolerances reject some pointed cones there, and so must the constructor
+    lengths = st.sampled_from([1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])
+    gens = gens * np.array(data.draw(st.lists(lengths, min_size=len(gens),
+                                              max_size=len(gens))))[:, None]
+    assume(np.all(np.linalg.norm(gens, axis=1) > 1e-9))
+    assert _pointedness_verdict(m, gens) == cone_module._is_pointed(gens)
 
 
 def test_rejects_exterior_k0():

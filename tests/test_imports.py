@@ -1,0 +1,34 @@
+"""Cold-start scope: which third-party modules the package loads, and when."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import wellposed
+
+SRC = str(Path(wellposed.__file__).resolve().parents[1])
+
+
+def _loaded_after(code):
+    """Names of the scipy and yaml modules loaded in a fresh interpreter after `code`."""
+    script = (
+        f"import sys; sys.path.insert(0, {SRC!r})\n{code}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_import_loads_no_scipy_or_yaml():
+    assert _loaded_after("import wellposed") == []
+
+
+def test_classify_command_loads_no_scipy(tmp_path):
+    out = tmp_path / "report.txt"
+    loaded = _loaded_after(
+        "import wellposed.cli\n"
+        f"assert wellposed.cli.main(['classify', '--problem', 'biquad', '--point', '0.3',"
+        f" '--out', {str(out)!r}]) == 0")
+    assert loaded == []
+    assert "record=classification" in out.read_text()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from wellposed import (
     Box,
@@ -18,7 +19,7 @@ from wellposed import (
     scalarize_oriented,
 )
 
-from wellposed.problem import CHUNK
+from wellposed.problem import _DIRECT_DIAMETER_MAX, CHUNK
 
 from oracles import metric_series
 
@@ -78,6 +79,18 @@ def test_diameter_fixed_values():
     ps = PointSet(np.empty((0, 2)))
     assert ps.is_empty
     assert diameter(ps) == 0.0
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(-8, 8), st.integers(2, _DIRECT_DIAMETER_MAX), st.integers(0, 2**32 - 1))
+def test_one_dimensional_diameter_matches_pdist_bit_for_bit(exponent, n, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exponent
+    for x in (rng.normal(size=(n, 1)) * scale + rng.normal() * scale,
+              np.linspace(-scale, 3 * scale, n)[:, None],
+              np.full((n, 1), rng.normal() * scale)):
+        assert diameter(x) == float(pdist(x).max())
+    assert diameter(np.array([[scale]])) == 0.0
 
 
 def test_diameter_of_square_lattice_is_corner_pair():
