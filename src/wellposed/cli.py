@@ -470,7 +470,10 @@ def replicate(label: str):
 def _run_replicate(cfg: RunConfig):
     if not cfg.problem:
         raise InputError("replicate requires --problem with a registry label")
-    records = [_header(cfg, _given(cfg.grid, "registry-default"))]
+    if cfg.grid is not None:
+        raise InputError("replicate runs every assertion at the registry resolution; "
+                         "--grid is not accepted")
+    records = [_header(cfg, "registry-default")]
     all_ok = True
     for label in cfg.problem.split(","):
         records.append({"record": "replicate", "label": label.strip()})

@@ -5,14 +5,15 @@ An ordering cone is kept in a doubled representation: primal generators
 facet normals of -C, equivalently the extreme rays of the dual cone C*).
 Membership tests run against the dual description, everything that needs
 rays runs against the primal one.  For ambient dimension <= 4 the dual
-description is recovered from the generators by facet enumeration; above
-that the caller must supply it.
+description is recovered from the generators by facet enumeration, and a
+supplied one is checked against it; above that the caller must supply it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,11 @@ FACET_ENUM_MAX_DIM = 4
 # very different lengths; the margin is taken both absolutely and relative
 # to the longest generator so that a skip never accepts such a cone.
 POINTED_CERT_MARGIN = 1e-6
+
+# Slack for supplied dual generators: how far below zero <g, xi> may fall,
+# and how far a supplied unit normal may sit from an enumerated facet normal.
+# The face test of dual_face_supports uses it for orthogonality.
+DUAL_VALIDITY_TOL = 1e-7
 
 
 def _as_matrix(vectors, ambient_dim, what):
@@ -102,6 +108,11 @@ class OrderingCone:
         ambient_dim: dimension m of the image space.
         generators: (n, m) array; conic hull is the cone.
         dual_generators: (f, m) array of unit outward facet normals of -C.
+            When supplied, each must lie in C* and, for ambient_dim <=
+            FACET_ENUM_MAX_DIM, every enumerated facet normal must be among
+            them.  Above that dimension supplied duals are trusted to
+            generate all of C*; membership, the oriented distance and the
+            projections are wrong for a cone whose list misses a facet.
         k0: unit-scale interior direction used to build the dual base.
         tol: membership tolerance; ties resolve toward non-strict membership.
     """
@@ -143,8 +154,14 @@ class OrderingCone:
             if np.any(dnorms <= self.tol):
                 raise InputError("dual_generators must be nonzero")
             duals = duals / dnorms[:, None]
-            if np.any(gens @ duals.T < -1e-7):
+            if np.any(gens @ duals.T < -DUAL_VALIDITY_TOL):
                 raise ConeValidationError("supplied dual generators are not valid for the generators")
+            if m <= FACET_ENUM_MAX_DIM:
+                facets = _enumerate_facet_normals(gens, self.tol)
+                gaps = np.linalg.norm(facets[:, None, :] - duals[None, :, :], axis=2)
+                if np.any(gaps.min(axis=1) > DUAL_VALIDITY_TOL):
+                    raise ConeValidationError(
+                        "supplied dual generators miss a facet normal of the cone")
 
         if self.k0 is None:
             if sn <= self.tol:
@@ -190,6 +207,25 @@ class OrderingCone:
         return mg > self.tol if strict else mg >= -self.tol
 
     # -- dual objects ----------------------------------------------------
+
+    @cached_property
+    def dual_face_supports(self):
+        """Index tuples of at most m-1 dual generators lying in a proper face of C*.
+
+        The faces of C* are C* ∩ g^⊥ for g in C, and a conic combination of
+        primal generators is orthogonal to a dual generator only if each
+        generator it uses is, so a set of dual generators lies in a proper
+        face exactly when one primal generator is orthogonal to all of them.
+        Sorted by size, then lexicographically.
+        """
+        unit = self.generators / np.linalg.norm(self.generators, axis=1)[:, None]
+        orthogonal = np.abs(unit @ self.dual_generators.T) <= DUAL_VALIDITY_TOL
+        supports = set()
+        for row in orthogonal:
+            members = np.flatnonzero(row).tolist()
+            for size in range(1, min(len(members), self.ambient_dim - 1) + 1):
+                supports.update(itertools.combinations(members, size))
+        return sorted(supports, key=lambda t: (len(t), t))
 
     def dual_cone(self):
         """The dual cone, generated by this cone's facet normals.

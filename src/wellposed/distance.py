@@ -3,16 +3,19 @@
 The signed quantity computed here is d(y, -C) - d(y, complement of -C):
 positive outside -C, negative inside, zero on the boundary.  Outside, the
 value is the norm of the dual-cone component of y (Moreau decomposition
-y = P_{-C}(y) + P_{C*}(y), with P_{C*} an exact active-set nonnegative
-least squares solve over the dual generators).  Inside, the distance to
-the complement is the smallest facet-hyperplane distance, so the value is
-the largest facet margin.  A sampled max over dual directions provides an
-always-below cross-check of the same quantity.
+y = P_{-C}(y) + P_{C*}(y)).  For a single point P_{C*} is an exact
+active-set nonnegative least squares solve over the dual generators.  For a
+batch it is exact in three stages: y in C* projects to itself, tested
+against the primal generators; every other row is certified by a shared
+pseudo-inverse over the supports of at most m-1 dual generators that lie in
+a proper face of C*; rows no support certifies fall back to the NNLS solve.
+Inside, the distance to the complement is the smallest facet-hyperplane
+distance, so the value is the largest facet margin.  A sampled max over
+dual directions provides an always-below cross-check of the same quantity.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,47 +76,49 @@ def oriented_distance(cone: OrderingCone, y) -> OrientedDistanceResult:
 
 
 def _dual_projection_norms(cone: OrderingCone, points):
-    """Squared-free norms ||P_{C*}(y)|| for many y at once.
+    """Norms ||P_{C*}(y)|| for many y at once, in three exact stages.
 
-    The projection support has at most m generators (a basic solution), so
-    all supports of size <= m are enumerated with one shared pseudo-inverse
-    each; rows not certified by any support fall back to per-row NNLS.
+    1. y in -C (every facet margin <= tol): the projection is 0.
+    2. y in C* (<g/||g||, y> >= -tol for every primal generator g, since
+       C* = {xi : <xi, g> >= 0 for all g}): the projection is y.
+    3. Otherwise P_{C*}(y) lies on the boundary of C*, so it is a basic
+       nonnegative combination of at most m-1 dual generators of one proper
+       face.  Each such support (cone.dual_face_supports) is tried with one
+       shared pseudo-inverse and a KKT certificate.  A support outside every
+       proper face could only certify rows of C*, which stage 2 took.
+    Rows no support certifies fall back to per-row NNLS.
     """
     duals = cone.dual_generators  # (f, m)
-    f, m = duals.shape
-    n = points.shape[0]
-    out = np.full(n, np.nan)
-    unresolved = np.ones(n, dtype=bool)
-
-    # empty support: projection 0 exactly when y is polar to C*, i.e. in -C
-    margins_all = points @ duals.T
-    in_neg = np.all(margins_all <= cone.tol, axis=1)
-    out[in_neg] = 0.0
-    unresolved &= ~in_neg
-
+    f = duals.shape[0]
+    out = np.full(points.shape[0], np.nan)
     tol = max(cone.tol, 1e-10)
-    for size in range(1, min(f, m) + 1):
+
+    in_neg = np.all(points @ duals.T <= cone.tol, axis=1)
+    out[in_neg] = 0.0
+    unit = cone.generators / np.linalg.norm(cone.generators, axis=1)[:, None]
+    in_dual = ~in_neg & np.all(points @ unit.T >= -tol, axis=1)
+    out[in_dual] = np.linalg.norm(points[in_dual], axis=1)
+    unresolved = ~(in_neg | in_dual)
+
+    for subset in cone.dual_face_supports:
         if not unresolved.any():
             break
-        for subset in itertools.combinations(range(f), size):
-            if not unresolved.any():
-                break
-            d_s = duals[list(subset)].T  # (m, size)
-            pinv = np.linalg.pinv(d_s)
-            idx = np.flatnonzero(unresolved)
-            lam = points[idx] @ pinv.T  # (k, size)
-            proj = lam @ d_s.T  # (k, m)
-            resid = points[idx] - proj
-            ok = np.all(lam >= -tol, axis=1)
-            others = [j for j in range(f) if j not in subset]
-            if others:
-                ok &= np.all(resid @ duals[others].T <= tol, axis=1)
-            # KKT needs <p, y - p> = 0; the normal equations give it, but
-            # rank-deficient subsets can slip through, so re-check cheaply
-            ok &= np.abs(np.einsum("ij,ij->i", proj, resid)) <= 1e-7 * (1.0 + np.einsum("ij,ij->i", proj, proj))
-            hit = idx[ok]
-            out[hit] = np.linalg.norm(proj[ok], axis=1)
-            unresolved[hit] = False
+        d_s = duals[list(subset)].T  # (m, size)
+        pinv = np.linalg.pinv(d_s)
+        idx = np.flatnonzero(unresolved)
+        lam = points[idx] @ pinv.T  # (k, size)
+        proj = lam @ d_s.T  # (k, m)
+        resid = points[idx] - proj
+        ok = np.all(lam >= -tol, axis=1)
+        others = [j for j in range(f) if j not in subset]
+        if others:
+            ok &= np.all(resid @ duals[others].T <= tol, axis=1)
+        # KKT needs <p, y - p> = 0; the normal equations give it, but
+        # rank-deficient subsets can slip through, so re-check cheaply
+        ok &= np.abs(np.einsum("ij,ij->i", proj, resid)) <= 1e-7 * (1.0 + np.einsum("ij,ij->i", proj, proj))
+        hit = idx[ok]
+        out[hit] = np.linalg.norm(proj[ok], axis=1)
+        unresolved[hit] = False
 
     for i in np.flatnonzero(unresolved):
         out[i] = np.linalg.norm(project_dual_cone(cone, points[i]))

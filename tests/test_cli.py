@@ -149,6 +149,13 @@ def test_replicate_subcommand_exit_codes(tmp_path):
     assert "all_passed=true" in text
 
 
+def test_replicate_refuses_grid(tmp_path):
+    code, text = run_cli(tmp_path, "replicate", "--problem", "quad-2d", "--grid", "5")
+    assert code == 2
+    assert parse_records(text)[0]["reason"] == (
+        "replicate runs every assertion at the registry resolution; --grid is not accepted")
+
+
 def test_run_config_dataclass_round_trip():
     cfg = RunConfig(subcommand="classify", problem="quad-pair")
     assert run(cfg) == 0  # writes to stdout

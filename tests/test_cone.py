@@ -12,6 +12,7 @@ from wellposed import (
     OrderingCone,
     load_problem,
     orthant,
+    registry,
 )
 from wellposed import cone as cone_module
 
@@ -114,6 +115,36 @@ def test_certified_cones_build_without_the_lp(monkeypatch):
         assert orthant(m).ambient_dim == m
     OrderingCone(2, [[1.0, 0.0], [1.0, 2.0]])
     assert load_problem(DIAGNOSE3D).cone.generators.shape == (6, 3)
+
+
+@pytest.mark.parametrize("m, duals", [
+    (2, [[1.0, 1.0]]),
+    (3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]),
+])
+def test_incomplete_supplied_duals_are_refused(m, duals):
+    # each list lies in the orthant's dual cone but misses a facet normal;
+    # the first, once accepted, let the cone contain [1, -0.5]
+    with pytest.raises(ConeValidationError, match="miss a facet normal"):
+        OrderingCone(m, np.eye(m), dual_generators=duals)
+
+
+def test_complete_supplied_duals_still_build(tmp_path):
+    for m in range(1, 7):
+        assert orthant(m).ambient_dim == m
+    skew = OrderingCone(2, [[1.0, 0.0], [1.0, 1.0]])
+    # a redundant dual generator inside C* is allowed next to the facet normals
+    extra = np.vstack([skew.dual_generators, [[1.0, 1.0]]])
+    OrderingCone(2, skew.generators, dual_generators=extra)
+    skew.dual_cone()
+    load_problem(DIAGNOSE3D).cone.dual_cone()
+    for label in registry.labels():
+        registry.get(label).build()
+    cfg = tmp_path / "p.yaml"
+    cfg.write_text("label: c\ndecision_dim: 1\nobjective_dim: 2\n"
+                   "domain: {lower: [-1], upper: [1]}\n"
+                   "cone: {generators: [[1, 0], [1, 1]], dual_generators: [[0, 1], [1, -1]]}\n"
+                   "objective: ['x', 'x^2']\n")
+    assert load_problem(cfg).cone.dual_generators.shape == (2, 2)
 
 
 @pytest.mark.parametrize("gens", [

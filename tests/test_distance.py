@@ -1,11 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wellposed import (
     InputError,
     OrderingCone,
+    load_problem,
     oriented_distance,
     oriented_distance_batch,
     oriented_distance_sampled,
@@ -13,10 +16,12 @@ from wellposed import (
     project_dual_cone,
     project_neg_cone,
 )
+from wellposed import distance as distance_module
 
 from oracles import arc_distance_2d, dense_neg_cone, orthant_distance
 
 SKEW = OrderingCone(2, [[1.0, 0.0], [1.0, 1.0]])
+DIAGNOSE3D = Path(__file__).resolve().parents[1] / "bench" / "diagnose3d.yaml"
 
 
 def test_projection_clips_orthant():
@@ -87,6 +92,79 @@ def test_batch_agrees_with_single():
     batch = oriented_distance_batch(SKEW, ys)
     singles = np.array([oriented_distance(SKEW, y).value for y in ys])
     np.testing.assert_allclose(batch, singles, atol=1e-12)
+
+
+def _structured_points(cone, rng):
+    """Test rows for a cone, in two groups.
+
+    The first group holds generic points, points in -C, points in C* and
+    points on every proper face of C*.  The second holds points p - t*g for
+    a face support S, p in cone(S) and a primal generator g orthogonal to
+    S: their projection onto C* is p, so they reach the face-support stage
+    with a known answer, returned as the third item.
+    """
+    duals, gens = cone.dual_generators, cone.generators
+    plain = [rng.normal(size=(20, cone.ambient_dim)) * 3.0,
+             -rng.uniform(0.1, 2.0, size=(5, len(gens))) @ gens,
+             rng.uniform(0.1, 2.0, size=(5, len(duals))) @ duals]
+    outside, norms = [np.empty((0, cone.ambient_dim))], [np.empty(0)]
+    for support in cone.dual_face_supports:
+        face = duals[list(support)]
+        p = rng.uniform(0.1, 2.0, size=(2, len(support))) @ face
+        plain.append(p)
+        orthogonal = np.abs(gens @ face.T).max(axis=1) <= 1e-9 * np.linalg.norm(gens, axis=1)
+        for g in gens[orthogonal]:
+            outside.append(p - rng.uniform(0.1, 2.0, size=(2, 1)) * g)
+            norms.append(np.linalg.norm(p, axis=1))
+    return np.vstack(plain), np.vstack(outside), np.concatenate(norms)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.data())
+def test_batch_matches_nnls_route_on_random_cones(m, data):
+    n = data.draw(st.integers(m, 8))
+    # a positive first coordinate on every generator makes the cone pointed
+    first = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    rest = data.draw(st.lists(st.integers(-3, 3), min_size=n * (m - 1), max_size=n * (m - 1)))
+    gens = np.column_stack([first, np.reshape(rest, (n, m - 1))]).astype(float)
+    try:
+        cone = OrderingCone(m, gens)
+    except InputError:
+        assume(False)  # not solid
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    plain, outside, norms = _structured_points(cone, rng)
+    singles = np.array([oriented_distance(cone, y).value for y in plain])
+    np.testing.assert_allclose(oriented_distance_batch(cone, plain), singles, rtol=0, atol=1e-12)
+    # the p - t*g rows are checked against their known projection, not the
+    # NNLS route: on these ties scipy's nnls can return a point that fails
+    # its own optimality conditions
+    np.testing.assert_allclose(oriented_distance_batch(cone, outside), norms, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gens", [
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [1.0, 1.0]],
+    [[1.0, 0.0], [1.0, 2.0]],
+    [[1.0, 0.1], [-1.0, 0.1]],
+    [[1.0, 0.0], [1.0, 0.05], [0.5, 1.0]],
+])
+def test_batch_matches_arc_oracle_in_the_plane(gens):
+    cone = OrderingCone(2, gens)
+    ys = np.random.default_rng(8).normal(size=(30, 2)) * 2.0
+    want = np.array([arc_distance_2d(cone.dual_generators, y) for y in ys])
+    np.testing.assert_allclose(oriented_distance_batch(cone, ys), want, rtol=0, atol=1e-9)
+
+
+def test_diagnose3d_batch_needs_no_nnls_fallback(monkeypatch):
+    def no_nnls(cone, y):
+        raise AssertionError("per-row NNLS fallback inside the batch")
+
+    problem = load_problem(DIAGNOSE3D)
+    values = problem.domain.map_lattice(33, problem.evaluate)
+    monkeypatch.setattr(distance_module, "project_dual_cone", no_nnls)
+    for x_bar in ([0.0, 0.0, 0.0], [-0.5, -0.5, 0.5]):
+        f_bar = problem.evaluate(np.array([x_bar]))[0]
+        assert np.isfinite(oriented_distance_batch(problem.cone, values - f_bar)).all()
 
 
 @settings(deadline=None, max_examples=80)
