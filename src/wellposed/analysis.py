@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import INCONCLUSIVE
 from .errors import InputError, NumericalFailure
-from .problem import Box, VectorProblem, dual_vector
+from .problem import LATTICE_CAP, Box, VectorProblem, dual_vector
 
 EVIDENCE = "evidence_holds"
 COUNTEREXAMPLE = "counterexample_found"
@@ -275,7 +275,7 @@ def sion_gap(matrix, w_domain, z_subdivisions=64, w_resolution=33) -> SionGap:
         if not isinstance(w_domain, Box) or w_domain.dim != kw:
             raise InputError(f"w_domain must be a Box of dimension {kw}")
         corners = w_domain.corners()
-        if w_domain.lattice_size(w_resolution) > 2_500_000:
+        if w_domain.lattice_size(w_resolution) > LATTICE_CAP:
             raise InputError("w lattice too large; lower w_resolution")
         w_lattice = w_domain.lattice(w_resolution)
         w_is_simplex = False

@@ -227,6 +227,11 @@ class OrderingCone:
                 supports.update(itertools.combinations(members, size))
         return sorted(supports, key=lambda t: (len(t), t))
 
+    @cached_property
+    def dual_face_pinvs(self):
+        """Pseudo-inverse of each dual_face_supports entry's generator matrix, in order."""
+        return [np.linalg.pinv(self.dual_generators[list(s)].T) for s in self.dual_face_supports]
+
     def dual_cone(self):
         """The dual cone, generated by this cone's facet normals.
 

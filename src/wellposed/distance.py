@@ -2,16 +2,13 @@
 
 The signed quantity computed here is d(y, -C) - d(y, complement of -C):
 positive outside -C, negative inside, zero on the boundary.  Outside, the
-value is the norm of the dual-cone component of y (Moreau decomposition
-y = P_{-C}(y) + P_{C*}(y)).  For a single point P_{C*} is an exact
-active-set nonnegative least squares solve over the dual generators.  For a
-batch it is exact in three stages: y in C* projects to itself, tested
-against the primal generators; every other row is certified by a shared
-pseudo-inverse over the supports of at most m-1 dual generators that lie in
-a proper face of C*; rows no support certifies fall back to the NNLS solve.
-Inside, the distance to the complement is the smallest facet-hyperplane
-distance, so the value is the largest facet margin.  A sampled max over
-dual directions provides an always-below cross-check of the same quantity.
+value is ||P_{C*}(y)|| (Moreau decomposition y = P_{-C}(y) + P_{C*}(y)),
+which single points and batches compute by one exact route at a tolerance
+relative to each row (_dual_projections); a row the route cannot certify
+raises NumericalFailure.  Inside, the distance to the complement is the
+smallest facet-hyperplane distance, so the value is the largest facet
+margin.  A sampled max over dual directions provides an always-below
+cross-check of the same quantity.
 """
 
 from __future__ import annotations
@@ -39,17 +36,13 @@ class OrientedDistanceResult:
 
 
 def project_dual_cone(cone: OrderingCone, y):
-    """Exact projection of y onto the dual cone C* (nonnegative least squares)."""
-    from scipy.optimize import nnls
-
+    """Exact projection of y onto the dual cone C*."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != (cone.ambient_dim,):
         raise InputError(f"expected vector of length {cone.ambient_dim}")
-    try:
-        lam, _ = nnls(cone.dual_generators.T, y)
-    except RuntimeError as exc:  # iteration cap inside Lawson-Hanson
-        raise NumericalFailure(f"dual-cone projection did not converge: {exc}") from exc
-    return cone.dual_generators.T @ lam
+    if np.all(cone.dual_generators @ y <= cone.tol):
+        return np.zeros(cone.ambient_dim)  # y in -C, the polar cone of C*
+    return next(proj[0] for rows, proj in _dual_projections(cone, y[None, :]) if rows.size)
 
 
 def project_neg_cone(cone: OrderingCone, y):
@@ -67,62 +60,62 @@ def oriented_distance(cone: OrderingCone, y) -> OrientedDistanceResult:
     top = prods.max()
     if top > cone.tol:
         q = project_dual_cone(cone, y)
-        nearest = y - q
-        return OrientedDistanceResult(float(np.linalg.norm(q)), nearest, None)
+        return OrientedDistanceResult(float(np.linalg.norm(q)), y - q, None)
     # inside (or on the boundary of) -C: distance to the complement is the
     # nearest facet hyperplane; ties resolve to the smallest facet index
     facet = int(np.argmax(prods))
     return OrientedDistanceResult(float(top), y.copy(), facet)
 
 
-def _dual_projection_norms(cone: OrderingCone, points):
-    """Norms ||P_{C*}(y)|| for many y at once, in three exact stages.
+def _many_row_product(a, b):
+    """a @ b by the many-row BLAS kernel even for one row: numpy's one-row
+    kernel rounds differently, and no projection should depend on its batch."""
+    return (a[[0, 0]] @ b)[:1] if len(a) == 1 else a @ b
 
-    1. y in -C (every facet margin <= tol): the projection is 0.
-    2. y in C* (<g/||g||, y> >= -tol for every primal generator g, since
-       C* = {xi : <xi, g> >= 0 for all g}): the projection is y.
-    3. Otherwise P_{C*}(y) lies on the boundary of C*, so it is a basic
-       nonnegative combination of at most m-1 dual generators of one proper
-       face.  Each such support (cone.dual_face_supports) is tried with one
-       shared pseudo-inverse and a KKT certificate.  A support outside every
-       proper face could only certify rows of C*, which stage 2 took.
-    Rows no support certifies fall back to per-row NNLS.
+
+def _dual_projections(cone: OrderingCone, points):
+    """Yield (row indices, P_{C*} of those rows) for (n, m) points outside -C.
+
+    Each row is certified once, at the tolerance max(cone.tol, 1e-10) *
+    max(1, ||y||).  Rows in C* (<g/||g||, y> >= -tol for every primal
+    generator g) project to themselves.  Any other projection lies on the
+    boundary of C*: a basic nonnegative combination of at most m-1 dual
+    generators of one proper face.  Each such support
+    (cone.dual_face_supports) is tried in turn with its pseudo-inverse
+    (cone.dual_face_pinvs) and a KKT test.  A row no support certifies
+    raises NumericalFailure.
     """
     duals = cone.dual_generators  # (f, m)
-    f = duals.shape[0]
-    out = np.full(points.shape[0], np.nan)
-    tol = max(cone.tol, 1e-10)
-
-    in_neg = np.all(points @ duals.T <= cone.tol, axis=1)
-    out[in_neg] = 0.0
+    base = max(cone.tol, 1e-10)
     unit = cone.generators / np.linalg.norm(cone.generators, axis=1)[:, None]
-    in_dual = ~in_neg & np.all(points @ unit.T >= -tol, axis=1)
-    out[in_dual] = np.linalg.norm(points[in_dual], axis=1)
-    unresolved = ~(in_neg | in_dual)
+    low = (points @ unit.T).min(axis=1)
+    in_dual = low >= -base
+    # only the rows outside C* at the base tolerance need their norms
+    rest = np.flatnonzero(~in_dual)
+    tol = base * np.maximum(1.0, np.linalg.norm(points[rest], axis=1))
+    in_dual[rest] = low[rest] >= -tol
+    yield np.flatnonzero(in_dual), points[in_dual]
+    rest, tol = rest[~in_dual[rest]], tol[~in_dual[rest]]
 
-    for subset in cone.dual_face_supports:
-        if not unresolved.any():
-            break
-        d_s = duals[list(subset)].T  # (m, size)
-        pinv = np.linalg.pinv(d_s)
-        idx = np.flatnonzero(unresolved)
-        lam = points[idx] @ pinv.T  # (k, size)
-        proj = lam @ d_s.T  # (k, m)
-        resid = points[idx] - proj
-        ok = np.all(lam >= -tol, axis=1)
-        others = [j for j in range(f) if j not in subset]
-        if others:
-            ok &= np.all(resid @ duals[others].T <= tol, axis=1)
+    for support, pinv in zip(cone.dual_face_supports, cone.dual_face_pinvs):
+        if not rest.size:
+            return
+        rows = points[rest]
+        lam = _many_row_product(rows, pinv.T)  # (k, size)
+        ok = (lam >= -tol[:, None]).all(axis=1)
+        if not ok.any():
+            continue
+        proj = _many_row_product(lam, duals[list(support)])  # (k, m)
+        resid = rows - proj
+        others = [j for j in range(duals.shape[0]) if j not in support]
+        ok &= (resid @ duals[others].T <= tol[:, None]).all(axis=1)
         # KKT needs <p, y - p> = 0; the normal equations give it, but
         # rank-deficient subsets can slip through, so re-check cheaply
         ok &= np.abs(np.einsum("ij,ij->i", proj, resid)) <= 1e-7 * (1.0 + np.einsum("ij,ij->i", proj, proj))
-        hit = idx[ok]
-        out[hit] = np.linalg.norm(proj[ok], axis=1)
-        unresolved[hit] = False
-
-    for i in np.flatnonzero(unresolved):
-        out[i] = np.linalg.norm(project_dual_cone(cone, points[i]))
-    return out
+        yield rest[ok], proj[ok]
+        rest, tol = rest[~ok], tol[~ok]
+    if rest.size:
+        raise NumericalFailure(f"no certified dual-cone projection for {rest.size} point(s)")
 
 
 def oriented_distance_batch(cone: OrderingCone, points):
@@ -130,12 +123,13 @@ def oriented_distance_batch(cone: OrderingCone, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != cone.ambient_dim:
         raise InputError(f"expected points of length {cone.ambient_dim}")
-    margins = pts @ cone.dual_generators.T
-    top = margins.max(axis=1)
-    values = np.where(top > cone.tol, np.nan, top)
-    outside = top > cone.tol
-    if outside.any():
-        values[outside] = _dual_projection_norms(cone, pts[outside])
+    # the largest facet margin inside -C, replaced by ||P_{C*}(y)|| outside
+    values = (pts @ cone.dual_generators.T).max(axis=1)
+    outside = values > cone.tol
+    norms = values[outside]
+    for rows, proj in _dual_projections(cone, pts[outside]):
+        norms[rows] = np.linalg.norm(proj, axis=1)
+    values[outside] = norms
     return values
 
 

@@ -35,6 +35,21 @@ def arc_distance_2d(dual_normals, y, n=400001):
     return float((xi @ np.asarray(y, dtype=float)).max())
 
 
+def dual_projection_kkt(duals, gens, y, q):
+    """KKT residuals of q as the projection of y onto C* = cone(duals).
+
+    C* = {xi : <xi, g> >= 0 for every primal generator g}, so q is the
+    projection exactly when y - q lies in -C, q lies in C* and
+    <q, y - q> = 0.  Returns max <xi, y - q> over the dual generators xi,
+    -min <g/||g||, q> over the primal generators g and |<q, y - q>|: none is
+    positive at the exact projection.
+    """
+    duals, gens = np.asarray(duals, dtype=float), np.asarray(gens, dtype=float)
+    y, q = np.asarray(y, dtype=float), np.asarray(q, dtype=float)
+    unit = gens / np.linalg.norm(gens, axis=1)[:, None]
+    return float((duals @ (y - q)).max()), float(-(unit @ q).min()), float(abs(q @ (y - q)))
+
+
 def dense_neg_cone(generators, reach=6.0, steps=121):
     """Point cloud filling -cone(generators) out to a given coefficient reach."""
     gens = np.asarray(generators, dtype=float)

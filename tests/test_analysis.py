@@ -163,6 +163,12 @@ def test_sion_rejects_bad_domain():
         sion_gap(np.eye(2), Box(np.zeros(3), np.ones(3)))
 
 
+def test_sion_refuses_w_lattice_over_the_cap():
+    # 1500^2 = 2,250,000 points: above LATTICE_CAP, refused before allocation
+    with pytest.raises(InputError, match="lower w_resolution"):
+        sion_gap(np.eye(2), Box(np.zeros(2), np.ones(2)), w_resolution=1500)
+
+
 def test_two_route_convexity_agreement():
     # membership-based verdict must match convexity of every scalarization
     for p in (quad_pair(), x_neg_xex()):

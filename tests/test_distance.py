@@ -16,9 +16,8 @@ from wellposed import (
     project_dual_cone,
     project_neg_cone,
 )
-from wellposed import distance as distance_module
 
-from oracles import arc_distance_2d, dense_neg_cone, orthant_distance
+from oracles import arc_distance_2d, dense_neg_cone, dual_projection_kkt, orthant_distance
 
 SKEW = OrderingCone(2, [[1.0, 0.0], [1.0, 1.0]])
 DIAGNOSE3D = Path(__file__).resolve().parents[1] / "bench" / "diagnose3d.yaml"
@@ -121,7 +120,7 @@ def _structured_points(cone, rng):
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(2, 4), st.data())
-def test_batch_matches_nnls_route_on_random_cones(m, data):
+def test_projection_is_kkt_optimal_on_random_cones(m, data):
     n = data.draw(st.integers(m, 8))
     # a positive first coordinate on every generator makes the cone pointed
     first = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
@@ -133,12 +132,18 @@ def test_batch_matches_nnls_route_on_random_cones(m, data):
         assume(False)  # not solid
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     plain, outside, norms = _structured_points(cone, rng)
-    singles = np.array([oriented_distance(cone, y).value for y in plain])
-    np.testing.assert_allclose(oriented_distance_batch(cone, plain), singles, rtol=0, atol=1e-12)
-    # the p - t*g rows are checked against their known projection, not the
-    # NNLS route: on these ties scipy's nnls can return a point that fails
-    # its own optimality conditions
     np.testing.assert_allclose(oriented_distance_batch(cone, outside), norms, rtol=0, atol=1e-12)
+    for scale in (1.0, 1e8, 1e12):
+        ys = np.vstack([plain, outside]) * scale
+        qs = np.array([project_dual_cone(cone, y) for y in ys])
+        for y, q in zip(ys, qs):
+            dual, primal, slack = dual_projection_kkt(cone.dual_generators, cone.generators, y, q)
+            size = 1.0 + np.linalg.norm(y)
+            assert dual <= 1e-12 * size and primal <= 1e-12 * size
+            assert slack <= 1e-12 * size**2
+        off = (ys @ cone.dual_generators.T).max(axis=1) > cone.tol
+        batch = oriented_distance_batch(cone, ys)
+        np.testing.assert_array_equal(batch[off], np.linalg.norm(qs[off], axis=1))
 
 
 @pytest.mark.parametrize("gens", [
@@ -155,16 +160,20 @@ def test_batch_matches_arc_oracle_in_the_plane(gens):
     np.testing.assert_allclose(oriented_distance_batch(cone, ys), want, rtol=0, atol=1e-9)
 
 
-def test_diagnose3d_batch_needs_no_nnls_fallback(monkeypatch):
-    def no_nnls(cone, y):
-        raise AssertionError("per-row NNLS fallback inside the batch")
-
+def test_diagnose3d_batch_is_fully_certified():
+    # a row the certificate leaves open raises NumericalFailure
     problem = load_problem(DIAGNOSE3D)
     values = problem.domain.map_lattice(33, problem.evaluate)
-    monkeypatch.setattr(distance_module, "project_dual_cone", no_nnls)
     for x_bar in ([0.0, 0.0, 0.0], [-0.5, -0.5, 0.5]):
         f_bar = problem.evaluate(np.array([x_bar]))[0]
         assert np.isfinite(oriented_distance_batch(problem.cone, values - f_bar)).all()
+
+
+def test_degenerate_point_gets_the_exact_projection():
+    # a tie on which a nonnegative least squares solve returned 1.02896
+    cone = OrderingCone(4, [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 2]])
+    y = (-1.5670524436863107, -0.3663862698751871, -2.2998249834366846, -0.18319313493759345)
+    assert oriented_distance(cone, y).value == pytest.approx(0.6605122413304866, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=80)

@@ -32,3 +32,15 @@ def test_classify_command_loads_no_scipy(tmp_path):
         f" '--out', {str(out)!r}]) == 0")
     assert loaded == []
     assert "record=classification" in out.read_text()
+
+
+def test_oriented_distance_loads_no_scipy():
+    loaded = _loaded_after(
+        "from wellposed import (OrderingCone, oriented_distance, oriented_distance_batch,\n"
+        "                       orthant, project_neg_cone)\n"
+        "for cone in (orthant(3), OrderingCone(2, [[1.0, 0.0], [1.0, 1.0]])):\n"
+        "    y = [1.0] + [-2.0] * (cone.ambient_dim - 1)\n"
+        "    assert oriented_distance(cone, y).value > 0\n"
+        "    oriented_distance_batch(cone, [y, [-1.0] * cone.ambient_dim])\n"
+        "    project_neg_cone(cone, y)")
+    assert loaded == []
