@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cone import simplex_lattice
 from .diagnostics import INCONCLUSIVE
 from .errors import InputError, NumericalFailure
 from .problem import LATTICE_CAP, Box, VectorProblem, dual_vector
@@ -111,7 +112,7 @@ def is_star_quasiconvex(problem: VectorProblem, n_directions=8, n_samples=512,
                         seed=0, tol=1e-7) -> StructuralVerdict:
     """Quasiconvexity of every sampled dual scalarization <xi, f>."""
     rng = np.random.default_rng(seed)
-    dirs = problem.cone.sample_dual_sphere(n_directions, seed=seed)
+    dirs = problem.cone.sample_dual_sphere(n_directions)
     x, z, t = _sample_pairs(problem.domain, n_samples, rng)
     fx, fz = problem.evaluate(x), problem.evaluate(z)
     mid = x + (1.0 - t)[:, None] * (z - x)
@@ -215,19 +216,6 @@ def find_bounding_functional(problem: VectorProblem, n_random=16, seed=0,
 # bilinear minimax
 
 
-def _simplex_lattice(dim, subdivisions):
-    """All points of the probability simplex with coordinates k/subdivisions."""
-    pts = []
-    for bars in itertools.combinations(range(subdivisions + dim - 1), dim - 1):
-        prev, counts = -1, []
-        for b in bars:
-            counts.append(b - prev - 1)
-            prev = b
-        counts.append(subdivisions + dim - 2 - prev)
-        pts.append(counts)
-    return np.array(pts, dtype=float) / subdivisions
-
-
 def _lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     from scipy.optimize import linprog
 
@@ -268,7 +256,7 @@ def sion_gap(matrix, w_domain, z_subdivisions=64, w_resolution=33) -> SionGap:
         if w_domain != "simplex":
             raise InputError("w_domain must be a Box or 'simplex'")
         corners = np.eye(kw)
-        w_lattice = _simplex_lattice(kw, z_subdivisions)
+        w_lattice = simplex_lattice(kw, z_subdivisions)
         w_is_simplex = True
         mesh_w = kw / z_subdivisions
     else:
@@ -282,7 +270,7 @@ def sion_gap(matrix, w_domain, z_subdivisions=64, w_resolution=33) -> SionGap:
         mesh_w = w_domain.lattice_spacing(w_resolution)
 
     # sup over z-lattice of (exact) inf over w
-    z_lattice = _simplex_lattice(kz, z_subdivisions)
+    z_lattice = simplex_lattice(kz, z_subdivisions)
     inner = z_lattice @ (a @ corners.T)  # (nz, ncorners)
     phi = inner.min(axis=1)
     sup_inf = float(phi.max())

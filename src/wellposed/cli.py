@@ -175,7 +175,7 @@ def _run_distance(cfg: RunConfig):
     y = np.asarray(cfg.y, dtype=float)
     res = oriented_distance(problem.cone, y)
     n_samples = _given(cfg.n, 2048)
-    dirs = problem.cone.sample_dual_sphere(n_samples, seed=cfg.seed)
+    dirs = problem.cone.sample_dual_sphere(n_samples)
     sampled = oriented_distance_sampled(problem.cone, y, dirs)
     rec = {
         "record": "oriented-distance",

@@ -12,6 +12,7 @@ supplied one is checked against it; above that the caller must supply it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -98,6 +99,20 @@ def _is_pointed(generators):
     b_eq = np.concatenate([np.zeros(m), [1.0]])
     res = linprog(np.zeros(2 * n), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     return not res.success
+
+
+def simplex_lattice(dim, subdivisions):
+    """All points of the probability simplex with coordinates k/subdivisions,
+    in lexicographic order of their stars-and-bars positions."""
+    pts = []
+    for bars in itertools.combinations(range(subdivisions + dim - 1), dim - 1):
+        prev, counts = -1, []
+        for b in bars:
+            counts.append(b - prev - 1)
+            prev = b
+        counts.append(subdivisions + dim - 2 - prev)
+        pts.append(counts)
+    return np.array(pts, dtype=float) / subdivisions
 
 
 @dataclass(frozen=True)
@@ -260,25 +275,32 @@ class OrderingCone:
             raise NotInteriorPoint("base polytope needs <g, k0> > 0 for every facet normal")
         return self.dual_generators / denom[:, None]
 
-    def sample_dual_sphere(self, n, seed=0):
-        """Unit vectors in C* intersected with the unit sphere.
+    def sample_dual_sphere(self, n):
+        """Unit vectors in C* intersected with the unit sphere; no randomness.
 
         Always contains every normalized dual generator (so the result has
         max(n, #dual generators) rows). The remaining budget is stratified:
-        half walks each generator pair's arc on an even grid, the rest
-        covers the relative interior with scrambled low-discrepancy
-        half-normal weights. A support functional maximized on a proper
-        face of C* picks up a linear penalty the moment a sample leaves
-        that face, so the arcs need their own dense coverage; interior
-        maxima are flat to first order and tolerate coarser spacing.
+        half walks each generator pair's arc on an even grid, the rest are
+        the normalized combinations lambda @ G for weights lambda on the
+        simplex lattice with the least step 1/k that has room beyond its f
+        vertices (which would repeat the generators). The weights are taken
+        at evenly spaced positions of the lattice's lexicographic order,
+        which lists the face lambda_0 = 0 first, so a prefix would miss the
+        rest of C*; k is raised until enough combinations clear the norm
+        tolerance. A support functional maximized on a proper face of C*
+        picks up a linear penalty the moment a sample leaves that face, so
+        the arcs need their own dense coverage; interior maxima are flat to
+        first order and tolerate coarser spacing.
         """
         if n < 1:
             raise InputError("n must be >= 1")
         gens = self.dual_generators
         f = gens.shape[0]
+        if f == 1:  # a ray: C* meets the sphere in one point
+            return np.repeat(gens, n, axis=0)
         rows = [g for g in gens]
         pairs = list(itertools.combinations(range(f), 2))
-        if pairs and n - len(rows) > 0:
+        if n > f:
             per = (n - len(rows)) // (2 * len(pairs))
             t = (np.arange(per) + 0.5)[:, None] / per if per else None
             for a, b in pairs:
@@ -288,26 +310,22 @@ class OrderingCone:
                 norms = np.linalg.norm(combos, axis=1)
                 ok = norms > self.tol
                 rows.extend(combos[ok] / norms[ok, None])
-        if len(rows) < n:
-            from scipy.special import ndtri
-            from scipy.stats import qmc
-
-            want = n - len(rows)
-            u = qmc.Sobol(d=f, scramble=True, seed=seed).random_base2(
-                max(3, int(np.ceil(np.log2(2 * want)))))
-            lam = ndtri(0.5 + 0.5 * np.clip(u, 1e-12, 1.0 - 1e-12))
-            combos = lam @ gens
-            norms = np.linalg.norm(combos, axis=1)
-            ok = norms > self.tol
-            rows.extend((combos[ok] / norms[ok, None])[:want])
-        rng = np.random.default_rng(seed)
-        while len(rows) < n:  # degenerate-geometry fallback
-            lam = np.abs(rng.standard_normal((n - len(rows), f)))
-            combos = lam @ gens
-            norms = np.linalg.norm(combos, axis=1)
-            ok = norms > self.tol
-            rows.extend(combos[ok] / norms[ok, None])
-        return np.array(rows[:max(n, f)])
+        want = n - len(rows)
+        if want > 0:
+            k = 1
+            while math.comb(k + f - 1, f - 1) < want + f:
+                k += 1
+            while True:
+                lam = simplex_lattice(f, k)
+                combos = lam[lam.max(axis=1) < 1.0] @ gens
+                norms = np.linalg.norm(combos, axis=1)
+                ok = norms > self.tol
+                if np.count_nonzero(ok) >= want:
+                    break
+                k += 1
+            units = combos[ok] / norms[ok, None]
+            rows.extend(units[np.linspace(0, units.shape[0] - 1, want).round().astype(int)])
+        return np.array(rows)
 
     def interior_direction_battery(self):
         """Strictly interior unit directions: k0 plus each generator mixed

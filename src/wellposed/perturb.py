@@ -134,13 +134,15 @@ class EkelandResult:
 
 
 def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
-                  tol=1e-9) -> EkelandResult:
+                  tol=1e-9, *, values=None) -> EkelandResult:
     """Iterate the discrete variational descent to its fixed point.
 
     The start is snapped to the nearest lattice point; the hypothesis
     sp(start) < inf + r*epsilon is checked there.  Ties in the argmin
     resolve lexicographically, which forces strict objective descent and
-    hence termination.
+    hence termination.  A caller that already holds sp's lattice values
+    in C order (as Box.map_lattice returns them) passes them as `values`,
+    and the lattice is not evaluated again.
     """
     if epsilon <= 0 or r <= 0:
         raise InputError("epsilon and r must be positive")
@@ -148,8 +150,11 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
     if total > LATTICE_CAP:
         raise InputError("lattice too large for the exhaustive Ekeland step")
     points = sp.domain.lattice(grid_resolution)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = sp.evaluate(points)
+    if values is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = sp.evaluate(points)
+    elif np.shape(values) != (total,):
+        raise InputError(f"values must hold one value per lattice point ({total})")
     if not np.all(np.isfinite(values)):
         raise InputError("objective must be finite on the lattice")
 
@@ -306,7 +311,7 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201,
     spacing = problem.domain.lattice_spacing(grid_resolution)
     r = max(2.0 * radius, 2.0 * spacing)
     start_point = box.lattice_points_at(grid_resolution, [argmin_flat])[0]
-    ek = ekeland_point(g_xi, start_point, epsilon, r, grid_resolution)
+    ek = ekeland_point(g_xi, start_point, epsilon, r, grid_resolution, values=values)
 
     term = PerturbationTerm(epsilon, 1.0, ek.x_hat, k0r)
     h = replace(perturb(g, term), label=f"{problem.label}+cert")

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wellposed
 
 SRC = str(Path(wellposed.__file__).resolve().parents[1])
@@ -24,14 +26,18 @@ def test_import_loads_no_scipy_or_yaml():
     assert _loaded_after("import wellposed") == []
 
 
-def test_classify_command_loads_no_scipy(tmp_path):
+@pytest.mark.parametrize("argv, record", [
+    (["classify", "--problem", "biquad", "--point", "0.3"], "classification"),
+    (["distance", "--problem", "quad-pair", "--y", "1,1"], "oriented-distance"),
+    (["analyze", "--problem", "x-x2", "--xi", "0,1"], "star-quasiconvexity"),
+], ids=["classify", "distance", "analyze"])
+def test_command_loads_no_scipy(tmp_path, argv, record):
     out = tmp_path / "report.txt"
     loaded = _loaded_after(
         "import wellposed.cli\n"
-        f"assert wellposed.cli.main(['classify', '--problem', 'biquad', '--point', '0.3',"
-        f" '--out', {str(out)!r}]) == 0")
+        f"assert wellposed.cli.main({argv + ['--out', str(out)]!r}) == 0")
     assert loaded == []
-    assert "record=classification" in out.read_text()
+    assert f"record={record}" in out.read_text()
 
 
 def test_oriented_distance_loads_no_scipy():

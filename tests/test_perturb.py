@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,36 @@ def test_pipeline_certificate_geometry():
     assert cert.epsilon > 0 and cert.r > 0
     assert np.linalg.norm(cert.x_hat) <= cert.sublevel_radius + 0.011
     assert cert.ekeland.iterations >= 0
+
+
+def test_pipeline_evaluates_the_scalarization_lattice_once(monkeypatch):
+    rows = []
+
+    def counting_scalarize(problem, xi):
+        sp = scalarize_linear(problem, xi)
+
+        def ev(points):
+            rows.append(len(points))
+            return sp.evaluator(points)
+
+        return dataclasses.replace(sp, evaluator=ev)
+
+    # the package exports the function perturb under the module's name
+    monkeypatch.setattr(importlib.import_module("wellposed.perturb"), "scalarize_linear",
+                        counting_scalarize)
+    p = registry.get("x-x2").build()
+    _, cert = density_pipeline(p, 0.1, grid_resolution=201)
+    assert sum(rows) == p.domain.lattice_size(201)
+    # handing the pipeline's values to the descent changes nothing
+    g_xi = scalarize_linear(cert.g, cert.xi_bar)
+    again = ekeland_point(g_xi, cert.ekeland.x_start, cert.epsilon, cert.r, 201)
+    assert again == cert.ekeland
+
+
+def test_ekeland_rejects_values_of_the_wrong_length():
+    sp = scalarize_linear(prob(lambda x: x ** 2, 1, [-1.0], [1.0]), [1.0])
+    with pytest.raises(InputError, match="one value per lattice point"):
+        ekeland_point(sp, [0.5], 0.05, 5.0, grid_resolution=201, values=np.zeros(200))
 
 
 def test_pipeline_refuses_non_finite_lattice_image():
