@@ -91,6 +91,7 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201,
     by more than tol in norm; a weak witness needs every facet margin above
     tol.  Strict efficiency runs the epsilon-delta containment search over
     geometric grids and is decided through the oriented-distance values.
+    A non-finite lattice image raises InputError.
     """
     x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
     if not problem.domain.contains(x_bar, slack=1e-9):
@@ -116,6 +117,9 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201,
     for pts, _ in problem.domain.iter_lattice(grid_resolution):
         with np.errstate(over="ignore", invalid="ignore"):
             vals = problem.evaluate(pts)
+            if not np.isfinite(vals).all():
+                # a NaN image compares false everywhere and would drop out
+                raise InputError("objective must be finite on the lattice")
             diff = vals - f_bar[None, :]
             margins = cone.margins(-diff)  # membership margins of f_bar - f(x)
             sizes = np.linalg.norm(diff, axis=1)
@@ -182,11 +186,11 @@ def weff_via_distance(problem: VectorProblem, x_bar, grid_resolution=201,
                       tol=None) -> bool:
     """Weak efficiency through the oriented-distance scalarization: x_bar is
     weakly efficient iff the scalarized lattice minimum is >= -tol (x_bar
-    itself attains 0)."""
+    itself attains 0).  A non-finite lattice image raises InputError."""
     rtol = _resolved_tol(problem, grid_resolution, tol)
     sp = scalarize_oriented(problem, x_bar)
     values = problem.domain.map_lattice(grid_resolution, sp.evaluate)
-    best = min(0.0, float(np.nanmin(values)))  # x_bar itself attains 0
+    best = min(0.0, float(values.min()))  # x_bar itself attains 0
     return bool(best >= -rtol)
 
 

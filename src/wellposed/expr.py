@@ -5,10 +5,21 @@ float literals, variables x1..xd (plain x is accepted for one-dimensional
 problems), and the functions exp, abs, norm (norm is n-ary Euclidean).
 Expressions compile to vectorized closures over an (n, d) point array; no
 eval, no attribute access, nothing dynamic.
+
+Constants are folded at compile time: a literal is a float64 scalar, a
+subexpression of constants is evaluated once, and a constant operand
+broadcasts.  The basic operations, exp and abs give the same bits on a
+scalar as on a full array, so folding changes no value.  A constant
+exponent 2 compiles to a square, and numpy takes its sqrt and reciprocal
+paths for the constant exponents 0.5 and -1, so ^2, ^0.5 and ^-1 are
+correctly rounded; any other exponent goes through pow.  Number literals
+that overflow to inf are refused.  Evaluation silences floating-point
+errors; callers check the images for finiteness.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -31,7 +42,11 @@ def _tokenize(text):
         if m is None:
             raise ConfigError(f"bad character in expression at offset {pos}: {text[pos:pos + 10]!r}")
         if m.lastgroup == "num":
-            out.append(("num", float(m.group("num"))))
+            v = float(m.group("num"))
+            if not math.isfinite(v):
+                raise ConfigError(f"number literal out of range at offset {m.start('num')}: "
+                                  f"{m.group('num')!r}")
+            out.append(("num", v))
         elif m.lastgroup == "name":
             out.append(("name", m.group("name")))
         else:
@@ -39,6 +54,27 @@ def _tokenize(text):
         pos = m.end()
     out.append(("end", None))
     return out
+
+
+# A compiled node is either a float64 constant or a closure over the points;
+# _un and _bin apply f to nodes, folding when every operand is a constant.
+def _un(node, f):
+    if isinstance(node, np.float64):
+        with np.errstate(all="ignore"):
+            return np.float64(f(node))
+    return lambda p: f(node(p))
+
+
+def _bin(a, b, f):
+    const_a, const_b = isinstance(a, np.float64), isinstance(b, np.float64)
+    if const_a and const_b:
+        with np.errstate(all="ignore"):
+            return np.float64(f(a, b))
+    if const_a:
+        return lambda p: f(a, b(p))
+    if const_b:
+        return lambda p: f(a(p), b)
+    return lambda p: f(a(p), b(p))
 
 
 class _Parser:
@@ -71,27 +107,20 @@ class _Parser:
         node = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.take()
-            rhs = self.term()
-            node = (lambda a, b: (lambda p: a(p) + b(p)))(node, rhs) if op == "+" else \
-                (lambda a, b: (lambda p: a(p) - b(p)))(node, rhs)
+            node = _bin(node, self.term(), np.add if op == "+" else np.subtract)
         return node
 
     def term(self):
         node = self.unary()
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             _, op = self.take()
-            rhs = self.unary()
-            if op == "*":
-                node = (lambda a, b: (lambda p: a(p) * b(p)))(node, rhs)
-            else:
-                node = (lambda a, b: (lambda p: _safe_div(a(p), b(p))))(node, rhs)
+            node = _bin(node, self.unary(), np.multiply if op == "*" else np.divide)
         return node
 
     def unary(self):
         if self.peek() == ("op", "-"):
             self.take()
-            inner = self.unary()
-            return lambda p: -inner(p)
+            return _un(self.unary(), np.negative)
         return self.power()
 
     def power(self):
@@ -99,13 +128,15 @@ class _Parser:
         if self.peek() == ("op", "^"):
             self.take()
             exponent = self.unary()
-            return lambda p: _safe_pow(base(p), exponent(p))
+            if isinstance(exponent, np.float64) and exponent == 2.0:
+                return _un(base, np.square)
+            return _bin(base, exponent, np.power)
         return base
 
     def atom(self):
         kind, val = self.take()
         if kind == "num":
-            return lambda p, v=val: np.full(p.shape[0], v)
+            return np.float64(val)
         if kind == "op" and val == "(":
             node = self.expr()
             self.expect_op(")")
@@ -128,12 +159,13 @@ class _Parser:
         if name in ("exp", "abs") and len(args) != 1:
             raise ConfigError(f"{name} takes exactly one argument")
         if name == "exp":
-            a = args[0]
-            return lambda p: _safe_exp(a(p))
+            return _un(args[0], np.exp)
         if name == "abs":
-            a = args[0]
-            return lambda p: np.abs(a(p))
-        return lambda p: np.sqrt(sum(a(p) ** 2 for a in args))
+            return _un(args[0], np.abs)
+        total = _un(args[0], np.square)
+        for a in args[1:]:
+            total = _bin(total, _un(a, np.square), np.add)
+        return _un(total, np.sqrt)
 
     def variable(self, name):
         if name == "x" and self.dim == 1:
@@ -147,28 +179,21 @@ class _Parser:
         return lambda p: p[:, j - 1]
 
 
-def _safe_exp(a):
-    with np.errstate(over="ignore"):
-        return np.exp(a)
-
-
-def _safe_div(a, b):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return a / b
-
-
-def _safe_pow(a, b):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.power(a, b)
-
-
 def parse_expression(text, decision_dim):
     """Compile one expression to a closure mapping (n, d) arrays to (n,)."""
     if not isinstance(text, str) or not text.strip():
         raise ConfigError("expression must be a nonempty string")
     if decision_dim < 1:
         raise ConfigError("decision_dim must be >= 1")
-    return _Parser(_tokenize(text), decision_dim).parse()
+    node = _Parser(_tokenize(text), decision_dim).parse()
+    if isinstance(node, np.float64):
+        return lambda p: np.full(p.shape[0], node)
+
+    def ev(points):
+        with np.errstate(all="ignore"):
+            return node(points)
+
+    return ev
 
 
 def compile_objectives(texts, decision_dim):

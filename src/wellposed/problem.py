@@ -386,7 +386,8 @@ def scalarize_oriented(problem: VectorProblem, x_bar) -> ScalarProblem:
     """Oriented-distance scalarization x -> D_{-C}(f(x) - f(x_bar)).
 
     Nonnegative on the domain exactly when x_bar is weakly efficient, with
-    value 0 at x_bar itself.
+    value 0 at x_bar itself.  A non-finite image raises InputError, so no
+    scan over this scalarization can drop a point as NaN.
     """
     x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
     if not problem.domain.contains(x_bar, slack=1e-9):
@@ -396,6 +397,8 @@ def scalarize_oriented(problem: VectorProblem, x_bar) -> ScalarProblem:
 
     def ev(points):
         vals = np.asarray(base(np.atleast_2d(points)), dtype=float)
+        if not np.isfinite(vals).all():
+            raise InputError("objective must be finite on the lattice")
         return oriented_distance_batch(cone, vals - f_bar[None, :])
 
     return ScalarProblem(problem.label + "|od", problem.decision_dim, ev, problem.domain)

@@ -6,6 +6,8 @@ failure localizes to either the library or the oracle but never to shared
 code.
 """
 
+from fractions import Fraction
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -116,3 +118,9 @@ def evp_violations(values, points, x_hat, x_start, epsilon, r, spacing):
     drop = values[k0] - epsilon * np.linalg.norm(x_hat - x_start)
     n_desc = 0 if values[k_hat] <= drop + 1e-12 else 1
     return n_min, n_rad, n_desc
+
+
+def correctly_rounded_power(x, k):
+    """x**k for an integer k, rounded once: Fraction is exact and its
+    conversion to float rounds to nearest."""
+    return float(Fraction(float(x)) ** int(k))

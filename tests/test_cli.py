@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,17 @@ def test_config_file_problem(tmp_path):
                          "--point", "0.0")
     assert code == 0
     assert "label=cfg-quad" in text
+
+
+def test_readme_problem_file(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Problem files", 1)[1]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    cfg = tmp_path / "readme.yaml"
+    cfg.write_text(block)
+    code, text = run_cli(tmp_path, "classify", "--config", str(cfg), "--point", "0")
+    assert code == 0
+    assert "efficient=yes" in text.splitlines()
 
 
 def test_problem_and_config_conflict(tmp_path):

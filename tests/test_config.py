@@ -4,6 +4,8 @@ import pytest
 from wellposed import ConfigError, load_problem, problem_from_mapping, problem_to_mapping
 from wellposed.expr import parse_expression
 
+from oracles import correctly_rounded_power
+
 BASE = {
     "label": "toy",
     "decision_dim": 1,
@@ -105,3 +107,65 @@ def test_expression_division_guard():
 def test_plain_x_only_in_one_dimension():
     with pytest.raises(ConfigError):
         parse_expression("x", 2)
+
+
+@pytest.mark.parametrize("text, offset", [("1e400*x", 0), ("x + 2e308", 4), ("(1e309)", 1)])
+def test_non_finite_literal_refused(text, offset):
+    with pytest.raises(ConfigError, match=f"out of range at offset {offset}:"):
+        parse_expression(text, 1)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("k", [2, -1])
+def test_square_and_reciprocal_are_correctly_rounded(k):
+    xs = np.random.default_rng(7).uniform(-2.0, 2.0, (20000, 1))
+    got = ev(f"x^{k}", xs)
+    want = [correctly_rounded_power(x, k) for x in xs[:, 0]]
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("e", [0, 1, 1.5, 3, 4, -2])
+def test_other_exponents_keep_the_pow_route(e):
+    # only 2, 0.5 and -1 leave the array-exponent pow of an unfolded compiler
+    xs = np.random.default_rng(8).uniform(-2.0, 2.0, (20000, 1))
+    with np.errstate(invalid="ignore"):  # x^1.5 is NaN for x < 0 on both routes
+        want = np.power(xs[:, 0], np.full(xs.shape[0], float(e)))
+    np.testing.assert_array_equal(bits(ev(f"x^{e}", xs)), bits(want))
+
+
+@pytest.mark.parametrize("text, value", [("2+3", 5.0), ("-2^2", -4.0), ("norm(3, 4)", 5.0)])
+def test_constant_expression_has_one_value_per_point(text, value):
+    out = ev(text, np.zeros((7, 1)))
+    assert out.shape == (7,)
+    np.testing.assert_array_equal(out, np.full(7, value))
+
+
+def test_functions_of_constants_evaluate():
+    xs = np.array([[3.0, -4.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(ev("norm(x1, 1)", xs, dim=2), np.sqrt([10.0, 1.0]))
+    np.testing.assert_array_equal(ev("exp(0)*x1", xs, dim=2), [3.0, 0.0])
+    np.testing.assert_array_equal(ev("abs(-2)*x2", xs, dim=2), [-8.0, 4.0])
+
+
+# each expression, then the same expression reading its literals from the
+# point columns x2.. so nothing in it can be folded, then those literals
+UNFOLDED_PAIRS = [
+    ("2 * 3 * x1 + 0.1", "x2 * x3 * x1 + x4", [2.0, 3.0, 0.1]),
+    ("x1 / 3 - 0.7 / 1.3", "x1 / x2 - x3 / x4", [3.0, 0.7, 1.3]),
+    ("exp(1.5) * x1 + exp(-x1 * 0.3)", "exp(x2) * x1 + exp(-x1 * x3)", [1.5, 0.3]),
+    ("abs(-2.5) * abs(x1 - 0.25)", "abs(-x2) * abs(x1 - x3)", [2.5, 0.25]),
+    ("norm(x1, 1, 0.5 * 3)", "norm(x1, x2, x3 * x4)", [1.0, 0.5, 3.0]),
+    ("2^x1 + x1^3 - 1.7^1.5", "x2^x1 + x1^x3 - x4^x5", [2.0, 3.0, 1.7, 1.5]),
+]
+
+
+@pytest.mark.parametrize("folded, unfolded, consts", UNFOLDED_PAIRS)
+def test_folding_is_bit_identical_to_unfolded_evaluation(folded, unfolded, consts):
+    x1 = np.random.default_rng(9).uniform(-2.0, 2.0, 5000)
+    pts = np.column_stack([x1] + [np.full(x1.size, c) for c in consts])
+    dim = pts.shape[1]
+    np.testing.assert_array_equal(bits(ev(folded, pts, dim=dim)),
+                                  bits(ev(unfolded, pts, dim=dim)))

@@ -16,6 +16,7 @@ from wellposed import (
     dh_via_scalarization,
     geometric_schedule,
     orthant,
+    problem_from_mapping,
     scalarize_linear,
     tykhonov_diagnostic,
     weff_via_distance,
@@ -98,6 +99,27 @@ def test_non_finite_image_at_x_bar_is_refused():
         weff_via_distance(p, [x_nan])
     with pytest.raises(InputError):
         dh_diagnostic(p, [x_nan], require_efficient=False)
+
+
+def nan_tail():
+    # 0*exp(1420*x) is 0*inf = NaN at every lattice point above x = 0.4999
+    return problem_from_mapping({
+        "label": "nan-tail", "decision_dim": 1, "objective_dim": 2,
+        "domain": {"lower": [-1.0], "upper": [1.0]},
+        "cone": {"generators": [[1.0, 0.0], [0.0, 1.0]]},
+        "objective": ["0*exp(1420*x) - x", "0*exp(1420*x) - x"]})
+
+
+def test_classify_refuses_nan_lattice_images():
+    # the NaN points are the ones that dominate 0.49; a scan that drops them
+    # reports efficient
+    with pytest.raises(InputError, match="finite on the lattice"):
+        classify_point(nan_tail(), [0.49])
+
+
+def test_weff_refuses_nan_lattice_images():
+    with pytest.raises(InputError, match="finite on the lattice"):
+        weff_via_distance(nan_tail(), [0.49])
 
 
 def test_weff_matches_distance_route():
