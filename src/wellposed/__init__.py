@@ -37,7 +37,6 @@ from .problem import (
     VectorProblem,
     ScalarProblem,
     PointSet,
-    MetricParams,
     PerturbationTerm,
     diameter,
     perturb,
@@ -116,7 +115,6 @@ __all__ = [
     "VectorProblem",
     "ScalarProblem",
     "PointSet",
-    "MetricParams",
     "PerturbationTerm",
     "diameter",
     "perturb",

@@ -23,9 +23,21 @@ from .problem import LATTICE_CAP, Box, VectorProblem, dual_vector
 EVIDENCE = "evidence_holds"
 COUNTEREXAMPLE = "counterexample_found"
 
+# sampled screens: random triples per screen, dual directions for
+# quasiconvexity, and the violation threshold relative to the image scale
+SCREEN_SAMPLES = 512
+SCREEN_DIRECTIONS = 8
+SCREEN_TOL = 1e-7
+
+# bounded-below scans: expansion factors of the box, lattice resolution on
+# each copy, and the last-doubling drop that reads as stable or divergent
+BOX_SCHEDULE = (1.0, 2.0, 4.0, 8.0)
+BOUND_RESOLUTION = 65
 STABILIZE_TOL = 1e-6
 DIVERGE_SLOPE = 1.0
-BOX_SCHEDULE = (1.0, 2.0, 4.0, 8.0)
+
+# seeded random base points tried after the deterministic candidates
+BOUNDING_RANDOM = 16
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,7 @@ def _sample_pairs(box: Box, n, rng):
     return x, z, t
 
 
-def is_C_convex(problem: VectorProblem, n_samples=512, seed=0, tol=1e-7) -> StructuralVerdict:
+def is_C_convex(problem: VectorProblem, seed=0) -> StructuralVerdict:
     """Cone-convexity screen with two independent routes that must agree.
 
     Route A tests membership of the convex-combination gap in the cone on
@@ -59,7 +71,7 @@ def is_C_convex(problem: VectorProblem, n_samples=512, seed=0, tol=1e-7) -> Stru
     """
     rng = np.random.default_rng(seed)
     cone = problem.cone
-    x, z, t = _sample_pairs(problem.domain, n_samples, rng)
+    x, z, t = _sample_pairs(problem.domain, SCREEN_SAMPLES, rng)
     fx, fz = problem.evaluate(x), problem.evaluate(z)
     mid = x + (1.0 - t)[:, None] * (z - x)  # t*x + (1-t)*z
     fmid = problem.evaluate(mid)
@@ -67,18 +79,18 @@ def is_C_convex(problem: VectorProblem, n_samples=512, seed=0, tol=1e-7) -> Stru
     scale = 1.0 + np.abs(np.concatenate([fx, fz, fmid])).max()
     margins = cone.margins(gap)
     worst_a = int(np.argmin(margins))
-    viol_a = margins[worst_a] < -tol * scale
+    viol_a = margins[worst_a] < -SCREEN_TOL * scale
 
     # route B: discrete second differences of <g, f> along segments
     grid = np.linspace(0.0, 1.0, 9)
     seg = x[:, None, :] + grid[None, :, None] * (z - x)[:, None, :]
     vals = problem.evaluate(seg.reshape(-1, problem.decision_dim))
-    vals = vals.reshape(n_samples, grid.size, problem.objective_dim)
+    vals = vals.reshape(SCREEN_SAMPLES, grid.size, problem.objective_dim)
     d2 = vals[:, :-2, :] - 2.0 * vals[:, 1:-1, :] + vals[:, 2:, :]
     d2g = d2 @ cone.dual_generators.T  # (n, grid-2, f)
     flat = int(np.argmin(d2g))
     bi, bs, bg = np.unravel_index(flat, d2g.shape)
-    viol_b = d2g[bi, bs, bg] < -tol * scale
+    viol_b = d2g[bi, bs, bg] < -SCREEN_TOL * scale
 
     witness = None
     if viol_a:
@@ -105,15 +117,14 @@ def is_C_convex(problem: VectorProblem, n_samples=512, seed=0, tol=1e-7) -> Stru
         "worst_second_difference": float(d2g[bi, bs, bg]),
     }
     verdict = COUNTEREXAMPLE if (viol_a or viol_b) else EVIDENCE
-    return StructuralVerdict("cone-convexity", verdict, witness, n_samples, detail)
+    return StructuralVerdict("cone-convexity", verdict, witness, SCREEN_SAMPLES, detail)
 
 
-def is_star_quasiconvex(problem: VectorProblem, n_directions=8, n_samples=512,
-                        seed=0, tol=1e-7) -> StructuralVerdict:
+def is_star_quasiconvex(problem: VectorProblem, seed=0) -> StructuralVerdict:
     """Quasiconvexity of every sampled dual scalarization <xi, f>."""
     rng = np.random.default_rng(seed)
-    dirs = problem.cone.sample_dual_sphere(n_directions)
-    x, z, t = _sample_pairs(problem.domain, n_samples, rng)
+    dirs = problem.cone.sample_dual_sphere(SCREEN_DIRECTIONS)
+    x, z, t = _sample_pairs(problem.domain, SCREEN_SAMPLES, rng)
     fx, fz = problem.evaluate(x), problem.evaluate(z)
     mid = x + (1.0 - t)[:, None] * (z - x)
     fmid = problem.evaluate(mid)
@@ -126,7 +137,7 @@ def is_star_quasiconvex(problem: VectorProblem, n_directions=8, n_samples=512,
         k = int(np.argmax(excess))
         if excess[k] > worst:
             worst = excess[k]
-        if excess[k] > tol * scale and witness is None:
+        if excess[k] > SCREEN_TOL * scale and witness is None:
             witness = {
                 "xi": xi,
                 "x": x[k],
@@ -137,12 +148,10 @@ def is_star_quasiconvex(problem: VectorProblem, n_directions=8, n_samples=512,
     verdict = COUNTEREXAMPLE if witness is not None else EVIDENCE
     detail = {"directions": dirs, "worst_excess": float(worst)}
     return StructuralVerdict("star-quasiconvexity", verdict, witness,
-                             n_samples * dirs.shape[0], detail)
+                             SCREEN_SAMPLES * dirs.shape[0], detail)
 
 
-def is_C_bounded_below(problem: VectorProblem, xi, box_schedule=BOX_SCHEDULE,
-                       grid_resolution=65, stabilize_tol=STABILIZE_TOL,
-                       diverge_slope=DIVERGE_SLOPE) -> StructuralVerdict:
+def is_C_bounded_below(problem: VectorProblem, xi) -> StructuralVerdict:
     """Bounded-below screen for <xi, f> on expanding copies of the box.
 
     Evidence when the expanding-box minima stabilize, counterexample when
@@ -150,27 +159,25 @@ def is_C_bounded_below(problem: VectorProblem, xi, box_schedule=BOX_SCHEDULE,
     threshold (or hits -inf), inconclusive otherwise.
     """
     xi = dual_vector(problem, xi)
-    if len(box_schedule) < 2:
-        raise InputError("box_schedule needs at least two expansion factors")
     minima, argmins = [], []
-    for factor in box_schedule:
-        big = problem.domain.scaled(float(factor))
-        vals = big.map_lattice(grid_resolution, lambda pts: problem.evaluate(pts) @ xi)
+    for factor in BOX_SCHEDULE:
+        big = problem.domain.scaled(factor)
+        vals = big.map_lattice(BOUND_RESOLUTION, lambda pts: problem.evaluate(pts) @ xi)
         vals = np.where(np.isnan(vals), np.inf, vals)
         k = int(np.argmin(vals))
         minima.append(float(vals[k]))
         # no argmin when every value is +inf or NaN
         attained = vals[k] < np.inf
-        argmins.append(big.lattice_points_at(grid_resolution, [k])[0] if attained else None)
+        argmins.append(big.lattice_points_at(BOUND_RESOLUTION, [k])[0] if attained else None)
     drop = minima[-1] - minima[-2]
-    detail = {"minima": minima, "box_schedule": tuple(box_schedule), "xi": xi}
-    if not np.isfinite(minima[-1]) or drop < -diverge_slope:
+    detail = {"minima": minima, "box_schedule": BOX_SCHEDULE, "xi": xi}
+    if not np.isfinite(minima[-1]) or drop < -DIVERGE_SLOPE:
         witness = {"minima": minima, "argmins": argmins, "final_drop": float(drop)}
         return StructuralVerdict("bounded-below", COUNTEREXAMPLE, witness,
-                                 len(box_schedule), detail)
-    if abs(drop) <= stabilize_tol:
-        return StructuralVerdict("bounded-below", EVIDENCE, None, len(box_schedule), detail)
-    return StructuralVerdict("bounded-below", INCONCLUSIVE, None, len(box_schedule), detail)
+                                 len(BOX_SCHEDULE), detail)
+    if abs(drop) <= STABILIZE_TOL:
+        return StructuralVerdict("bounded-below", EVIDENCE, None, len(BOX_SCHEDULE), detail)
+    return StructuralVerdict("bounded-below", INCONCLUSIVE, None, len(BOX_SCHEDULE), detail)
 
 
 @dataclass(frozen=True)
@@ -181,8 +188,7 @@ class BoundingSearch:
     scanned: tuple
 
 
-def find_bounding_functional(problem: VectorProblem, n_random=16, seed=0,
-                             box_schedule=BOX_SCHEDULE, grid_resolution=65) -> BoundingSearch:
+def find_bounding_functional(problem: VectorProblem, seed=0) -> BoundingSearch:
     """First dual-base candidate whose scalarization is bounded below.
 
     Scans the base polytope vertices, then deterministic mixtures (centroid
@@ -195,7 +201,7 @@ def find_bounding_functional(problem: VectorProblem, n_random=16, seed=0,
         for i, j in itertools.combinations(range(verts.shape[0]), 2):
             candidates.append(0.5 * (verts[i] + verts[j]))
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    for _ in range(BOUNDING_RANDOM):
         w = rng.random(verts.shape[0])
         candidates.append((w / w.sum()) @ verts)
 
@@ -204,8 +210,7 @@ def find_bounding_functional(problem: VectorProblem, n_random=16, seed=0,
         if any(np.linalg.norm(xi - s) <= 1e-12 for s in seen):
             continue
         seen.append(xi)
-        verdict = is_C_bounded_below(problem, xi, box_schedule=box_schedule,
-                                     grid_resolution=grid_resolution)
+        verdict = is_C_bounded_below(problem, xi)
         scanned.append((xi, verdict.verdict))
         if verdict.holds:
             return BoundingSearch(xi, tuple(scanned))

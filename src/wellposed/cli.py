@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed certificate or assertion, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -44,7 +45,7 @@ from .errors import (
     WellposedError,
 )
 from .perturb import density_pipeline, genericity_probe, tikhonov_regularize
-from .problem import scalarize_linear, scalarize_oriented
+from .problem import LATTICE_CAP, scalarize_linear, scalarize_oriented
 from . import registry
 
 EXIT_OK = 0
@@ -145,13 +146,22 @@ def _given(value, default):
     return default if value is None else value
 
 
+def _config_resolution(problem):
+    """Default resolution of a --config problem: the largest r <= 201 whose
+    lattice of r^d points fits under LATTICE_CAP (at least 2)."""
+    r = 201
+    while r > 2 and r ** problem.decision_dim > LATTICE_CAP:
+        r -= 1
+    return r
+
+
 def _resolve(cfg: RunConfig):
     """Problem plus per-problem defaults (resolution, designated point)."""
     if cfg.problem and cfg.config:
         raise InputError("pass either --problem or --config, not both")
     if cfg.config:
         problem = load_problem(cfg.config)
-        return problem, _given(cfg.grid, 201), cfg.point, None
+        return problem, _given(cfg.grid, _config_resolution(problem)), cfg.point, None
     if cfg.problem:
         entry = registry.get(cfg.problem)
         point = cfg.point if cfg.point is not None else entry.designated
@@ -159,8 +169,8 @@ def _resolve(cfg: RunConfig):
     raise InputError("a problem source is required (--problem label or --config file)")
 
 
-def _schedule(cfg: RunConfig, entry, fallback=10):
-    depth = cfg.depth if cfg.depth is not None else (entry.dh_depth if entry else fallback)
+def _schedule(cfg: RunConfig, entry):
+    depth = cfg.depth if cfg.depth is not None else (entry.dh_depth if entry else 10)
     return geometric_schedule(int(depth))
 
 
@@ -342,7 +352,7 @@ def _run_pipeline(cfg: RunConfig):
 def _run_probe(cfg: RunConfig):
     if cfg.config:
         problems = [load_problem(cfg.config)]
-        resolution = _given(cfg.grid, 201)
+        resolution = _given(cfg.grid, _config_resolution(problems[0]))
     elif cfg.problem:
         entries = [registry.get(label.strip()) for label in cfg.problem.split(",")]
         problems = [e.build() for e in entries]
@@ -445,8 +455,8 @@ def _replicate_entry(entry, records):
 
 
 def _replicate_hilbert(d, records):
-    measured, spacing = registry.hilbert_level_diameter(d, level=0.01)
-    expected = 2.0 * d * np.sqrt(0.01)
+    measured, spacing = registry.hilbert_level_diameter(d)
+    expected = 2.0 * d * np.sqrt(registry.HILBERT_LEVEL)
     passed = abs(measured - expected) <= 2.0 * spacing
     records.append(_assert_record(
         f"level-diameter-scaling-d{d}", passed,
@@ -588,8 +598,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VECTOR_OPTIONS = ("--point", "--y", "--xi")
+_NEGATIVE_LEAD = re.compile(r"-\.?\d")
+
+
+def _attach_negative_vectors(argv):
+    """Join a vector option to a value with a leading minus sign (--y -1,2 becomes
+    --y=-1,2): argparse takes "-1,2" for an option flag, not a negative number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and _NEGATIVE_LEAD.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_vectors(argv))
     cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     return run(cfg)
 

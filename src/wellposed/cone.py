@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -129,14 +130,15 @@ class OrderingCone:
             generate all of C*; membership, the oriented distance and the
             projections are wrong for a cone whose list misses a facet.
         k0: unit-scale interior direction used to build the dual base.
-        tol: membership tolerance; ties resolve toward non-strict membership.
+        tol: membership tolerance TOL_MEMBERSHIP (a class constant); ties
+            resolve toward non-strict membership.
     """
 
     ambient_dim: int
     generators: np.ndarray
     dual_generators: np.ndarray = field(default=None)
     k0: np.ndarray = field(default=None)
-    tol: float = TOL_MEMBERSHIP
+    tol: ClassVar[float] = TOL_MEMBERSHIP
 
     def __post_init__(self):
         m = int(self.ambient_dim)
@@ -258,7 +260,6 @@ class OrderingCone:
             ambient_dim=self.ambient_dim,
             generators=np.array(self.dual_generators),
             dual_generators=gens,
-            tol=self.tol,
         )
 
     def base_polytope(self, k0=None):
@@ -339,7 +340,7 @@ class OrderingCone:
         return rows
 
 
-def orthant(m, tol=TOL_MEMBERSHIP):
+def orthant(m):
     """The nonnegative orthant of R^m (self-dual; k0 defaults to the diagonal)."""
     eye = np.eye(m)
-    return OrderingCone(ambient_dim=m, generators=eye, dual_generators=eye, tol=tol)
+    return OrderingCone(ambient_dim=m, generators=eye, dual_generators=eye)

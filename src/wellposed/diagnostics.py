@@ -2,10 +2,9 @@
 
 Verdicts are tri-states: "no" always carries a re-checkable witness, "yes"
 is evidence at the stated resolution and tolerance, "inconclusive" marks
-searches that exhausted their schedule.  The default tolerance is two
-lattice cell diagonals, so default verdicts are meaningful at the chosen
-resolution; passing a tolerance finer than the lattice downgrades yes to
-inconclusive rather than overclaiming.
+searches that exhausted their schedule.  The tolerance is two lattice
+cell diagonals, so verdicts are meaningful at the chosen resolution.  The
+curve thresholds TOL_ABS and DECAY_RATIO are fixed module constants.
 """
 
 from __future__ import annotations
@@ -38,11 +37,11 @@ TOL_ABS = 1e-3
 DECAY_RATIO = 0.1
 
 
-def geometric_schedule(stop_power, start_power=0):
-    """Decreasing powers of two: 2^-start_power down to 2^-stop_power."""
-    if stop_power < start_power:
-        raise InputError("stop_power must be >= start_power")
-    return 2.0 ** (-np.arange(start_power, stop_power + 1, dtype=float))
+def geometric_schedule(stop_power):
+    """Decreasing powers of two: 1 down to 2^-stop_power."""
+    if stop_power < 0:
+        raise InputError("stop_power must be >= 0")
+    return 2.0 ** (-np.arange(stop_power + 1, dtype=float))
 
 
 DEFAULT_ALPHA_SCHEDULE = geometric_schedule(10)
@@ -74,32 +73,20 @@ class EfficiencyVerdict:
     tol: float
 
 
-def _resolved_tol(problem, grid_resolution, tol):
-    if tol is not None:
-        if tol <= 0:
-            raise InputError("tol must be positive")
-        return float(tol)
-    return 2.0 * problem.domain.lattice_spacing(grid_resolution)
-
-
-def classify_point(problem: VectorProblem, x_bar, grid_resolution=201,
-                   tol=None) -> EfficiencyVerdict:
+def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> EfficiencyVerdict:
     """Classify x_bar as efficient / weakly / strictly efficient by lattice scan.
 
     A domination witness is a lattice point whose image sits below f(x_bar)
     in the cone order (membership at the cone's own tolerance) and differs
-    by more than tol in norm; a weak witness needs every facet margin above
-    tol.  Strict efficiency runs the epsilon-delta containment search over
-    geometric grids and is decided through the oriented-distance values.
+    by more than tol, two lattice cell diagonals, in norm; a weak witness
+    needs every facet margin above tol.  Strict efficiency runs the
+    epsilon-delta containment search over geometric grids and is decided
+    through the oriented-distance values.
     A non-finite lattice image raises InputError.
     """
-    x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
-    if not problem.domain.contains(x_bar, slack=1e-9):
-        raise InputError("x_bar must lie in the domain box")
-    rtol = _resolved_tol(problem, grid_resolution, tol)
-    spacing = problem.domain.lattice_spacing(grid_resolution)
+    x_bar, f_bar = finite_image(problem, x_bar)
+    rtol = 2.0 * problem.domain.lattice_spacing(grid_resolution)
     cone = problem.cone
-    f_bar = finite_image(problem, x_bar)
 
     witnesses = {}
     efficient, weakly = YES, YES
@@ -172,22 +159,16 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201,
         strict = NO
         witnesses.setdefault("strictly_efficient", witnesses.get("efficient"))
 
-    # a yes at a lattice coarser than the requested tol is only inconclusive
-    if spacing > rtol:
-        efficient = INCONCLUSIVE if efficient == YES else efficient
-        weakly = INCONCLUSIVE if weakly == YES else weakly
-        strict = INCONCLUSIVE if strict == YES else strict
-
     return EfficiencyVerdict(x_bar, efficient, weakly, strict, witnesses,
                              grid_resolution, rtol)
 
 
-def weff_via_distance(problem: VectorProblem, x_bar, grid_resolution=201,
-                      tol=None) -> bool:
+def weff_via_distance(problem: VectorProblem, x_bar, grid_resolution=201) -> bool:
     """Weak efficiency through the oriented-distance scalarization: x_bar is
-    weakly efficient iff the scalarized lattice minimum is >= -tol (x_bar
-    itself attains 0).  A non-finite lattice image raises InputError."""
-    rtol = _resolved_tol(problem, grid_resolution, tol)
+    weakly efficient iff the scalarized lattice minimum is >= -tol, with tol
+    two lattice cell diagonals (x_bar itself attains 0).  A non-finite
+    lattice image raises InputError."""
+    rtol = 2.0 * problem.domain.lattice_spacing(grid_resolution)
     sp = scalarize_oriented(problem, x_bar)
     values = problem.domain.map_lattice(grid_resolution, sp.evaluate)
     best = min(0.0, float(values.min()))  # x_bar itself attains 0
@@ -222,10 +203,10 @@ class WellPosednessReport:
     details: dict
 
 
-def _curve_verdict(diams, spacing, tol_abs, decay_ratio):
-    threshold = tol_abs + 2.0 * spacing
+def _curve_verdict(diams, spacing):
+    threshold = TOL_ABS + 2.0 * spacing
     final, initial = float(diams[-1]), float(diams[0])
-    if final <= threshold and (initial <= threshold or final <= decay_ratio * initial):
+    if final <= threshold and (initial <= threshold or final <= DECAY_RATIO * initial):
         return WELL_POSED
     if final > threshold and final >= 0.5 * initial:
         return NOT_WELL_POSED
@@ -240,8 +221,8 @@ def _aggregate(verdicts):
     return INCONCLUSIVE
 
 
-def tykhonov_diagnostic(sp: ScalarProblem, level_schedule=None, grid_resolution=201,
-                        tol_abs=TOL_ABS, decay_ratio=DECAY_RATIO) -> WellPosednessReport:
+def tykhonov_diagnostic(sp: ScalarProblem, level_schedule=None,
+                        grid_resolution=201) -> WellPosednessReport:
     """Level-set diameter decay above the lattice infimum (scalar problems).
 
     Levels are inf + offset for each schedule offset; the argmin always
@@ -265,29 +246,26 @@ def tykhonov_diagnostic(sp: ScalarProblem, level_schedule=None, grid_resolution=
         diams[i, 0] = diameter(pts)
         counts[i, 0] = sel.size
     spacing = sp.domain.lattice_spacing(grid_resolution)
-    verdict = _curve_verdict(diams[:, 0], spacing, tol_abs, decay_ratio)
+    verdict = _curve_verdict(diams[:, 0], spacing)
     argmin_point = sp.domain.lattice_points_at(grid_resolution, [argmin_flat])[0]
     return WellPosednessReport(
         kind="tykhonov", label=sp.label, point=None, directions=None,
         schedule=schedule, diam_curve=diams, counts=counts, verdict=verdict,
         grid_resolution=grid_resolution, lattice_spacing=spacing,
-        tol_abs=tol_abs, decay_ratio=decay_ratio,
+        tol_abs=TOL_ABS, decay_ratio=DECAY_RATIO,
         details={"lattice_infimum": inf, "argmin": argmin_point},
     )
 
 
 def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule=None,
-                  grid_resolution=201, tol_abs=TOL_ABS, decay_ratio=DECAY_RATIO,
-                  require_efficient=True) -> WellPosednessReport:
+                  grid_resolution=201, require_efficient=True) -> WellPosednessReport:
     """Vector level-set diameter decay along interior directions at x_bar.
 
     Checks L(f(x_bar) + alpha*c) for each direction c and decreasing alpha;
     well-posed evidence needs every direction's curve to collapse.  x_bar
     must classify efficient unless require_efficient=False.
     """
-    x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
-    if not problem.domain.contains(x_bar, slack=1e-9):
-        raise InputError("x_bar must lie in the domain box")
+    x_bar, f_bar = finite_image(problem, x_bar)
     schedule = _validate_schedule(
         DEFAULT_ALPHA_SCHEDULE if alpha_schedule is None else alpha_schedule,
         "alpha_schedule")
@@ -306,7 +284,6 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
             if not problem.cone.contains(c, strict=True):
                 raise NotInteriorPoint("every direction must be strictly interior to the cone")
 
-    f_bar = finite_image(problem, x_bar)
     box, cone = problem.domain, problem.cone
     diams = np.zeros((schedule.size, dirs.shape[0]))
     counts = np.zeros((schedule.size, dirs.shape[0]), dtype=int)
@@ -333,35 +310,32 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
                 counts[i, j] = ps.size
                 diams[i, j] = diameter(ps)
 
-    verdict = _aggregate([_curve_verdict(diams[:, j], spacing, tol_abs, decay_ratio)
-                          for j in range(dirs.shape[0])])
+    verdict = _aggregate([_curve_verdict(diams[:, j], spacing) for j in range(dirs.shape[0])])
     return WellPosednessReport(
         kind="dh", label=problem.label, point=x_bar, directions=dirs,
         schedule=schedule, diam_curve=diams, counts=counts, verdict=verdict,
         grid_resolution=grid_resolution, lattice_spacing=spacing,
-        tol_abs=tol_abs, decay_ratio=decay_ratio,
+        tol_abs=TOL_ABS, decay_ratio=DECAY_RATIO,
         details={"f_bar": f_bar},
     )
 
 
 def dh_via_scalarization(problem: VectorProblem, x_bar, level_schedule=None,
-                         grid_resolution=201, tol_abs=TOL_ABS,
-                         decay_ratio=DECAY_RATIO) -> WellPosednessReport:
+                         grid_resolution=201) -> WellPosednessReport:
     """Equivalent route: run the scalar diagnostic on the oriented-distance
     scalarization at x_bar and report it as a dh verdict."""
     x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
     sp = scalarize_oriented(problem, x_bar)
     base = tykhonov_diagnostic(sp, level_schedule=level_schedule,
-                               grid_resolution=grid_resolution,
-                               tol_abs=tol_abs, decay_ratio=decay_ratio)
+                               grid_resolution=grid_resolution)
     details = dict(base.details)
     details["route"] = "oriented-distance-scalarization"
     return WellPosednessReport(
         kind="dh-scalarized", label=problem.label, point=x_bar, directions=None,
         schedule=base.schedule, diam_curve=base.diam_curve, counts=base.counts,
         verdict=base.verdict, grid_resolution=grid_resolution,
-        lattice_spacing=base.lattice_spacing, tol_abs=tol_abs,
-        decay_ratio=decay_ratio, details=details,
+        lattice_spacing=base.lattice_spacing, tol_abs=TOL_ABS,
+        decay_ratio=DECAY_RATIO, details=details,
     )
 
 
@@ -375,14 +349,12 @@ class LinearRouteResult:
 
 
 def dh_sufficient_linear(problem: VectorProblem, xi, level_schedule=None,
-                         grid_resolution=201, tol_abs=TOL_ABS,
-                         decay_ratio=DECAY_RATIO) -> LinearRouteResult:
+                         grid_resolution=201) -> LinearRouteResult:
     """Sufficient (not necessary) route: if <xi, f> is well-posed on the
     lattice, its argmin is the predicted DH-well-posed point."""
     sp = scalarize_linear(problem, xi)
     report = tykhonov_diagnostic(sp, level_schedule=level_schedule,
-                                 grid_resolution=grid_resolution,
-                                 tol_abs=tol_abs, decay_ratio=decay_ratio)
+                                 grid_resolution=grid_resolution)
     if report.verdict != WELL_POSED:
         return LinearRouteResult(False, None, report)
     return LinearRouteResult(True, report.details["argmin"], report)

@@ -32,7 +32,8 @@ from .errors import (
 )
 from .problem import (
     LATTICE_CAP,
-    MetricParams,
+    METRIC_TAIL,
+    METRIC_TRUNCATION,
     PerturbationTerm,
     ScalarProblem,
     VectorProblem,
@@ -42,6 +43,9 @@ from .problem import (
 )
 
 J_CAP = 2 ** 30
+EKELAND_TOL = 1e-9
+# schedule depth of the DH and Tykhonov checks run on the constructed problems
+CERT_DEPTH = 20
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +67,7 @@ class TikhonovCertificate:
     dh_report: WellPosednessReport
 
 
-def tikhonov_regularize(problem: VectorProblem, x_bar, n, grid_resolution=201,
-                        metric_params: MetricParams | None = None,
-                        alpha_schedule=None):
+def tikhonov_regularize(problem: VectorProblem, x_bar, n, grid_resolution=201):
     """Perturb by (1/n)||x - x_bar|| k0 and certify what the construction keeps.
 
     Requires x_bar to classify efficient (evidence) for the base problem.
@@ -85,12 +87,10 @@ def tikhonov_regularize(problem: VectorProblem, x_bar, n, grid_resolution=201,
     term = PerturbationTerm(1.0 / n, 1.0, x_bar, problem.cone.k0)
     perturbed = replace(perturb(problem, term), label=f"{problem.label}+tik{n}")
 
-    mp = metric_params or MetricParams()
     verdict = classify_point(perturbed, x_bar, grid_resolution)
-    schedule = geometric_schedule(20) if alpha_schedule is None else alpha_schedule
-    report = dh_diagnostic(perturbed, x_bar, alpha_schedule=schedule,
+    report = dh_diagnostic(perturbed, x_bar, alpha_schedule=geometric_schedule(CERT_DEPTH),
                            grid_resolution=grid_resolution, require_efficient=False)
-    dist = function_distance(problem, perturbed, mp)
+    dist = function_distance(problem, perturbed)
     cert = TikhonovCertificate(
         n=n,
         efficient_at_center=verdict.efficient,
@@ -98,7 +98,7 @@ def tikhonov_regularize(problem: VectorProblem, x_bar, n, grid_resolution=201,
         strict_not_no=(not problem.continuous) or (verdict.strictly_efficient != NO),
         dh_verdict=report.verdict,
         metric_value=dist,
-        metric_tail=mp.tail_bound,
+        metric_tail=METRIC_TAIL,
         classify=verdict,
         dh_report=report,
     )
@@ -134,7 +134,7 @@ class EkelandResult:
 
 
 def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
-                  tol=1e-9, *, values=None) -> EkelandResult:
+                  *, values=None) -> EkelandResult:
     """Iterate the discrete variational descent to its fixed point.
 
     The start is snapped to the nearest lattice point; the hypothesis
@@ -142,7 +142,8 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
     resolve lexicographically, which forces strict objective descent and
     hence termination.  A caller that already holds sp's lattice values
     in C order (as Box.map_lattice returns them) passes them as `values`,
-    and the lattice is not evaluated again.
+    and the lattice is not evaluated again.  The descent and uniqueness
+    checks allow a slack of EKELAND_TOL.
     """
     if epsilon <= 0 or r <= 0:
         raise InputError("epsilon and r must be positive")
@@ -187,10 +188,10 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
         x_hat=x_hat, x_start=x0, value=float(values[cur]), epsilon=float(epsilon),
         r=float(r), iterations=iterations, distance_to_start=dist_start,
         within_radius=bool(dist_start < r + spacing),
-        descent_holds=bool(descent_slack >= -tol),
+        descent_holds=bool(descent_slack >= -EKELAND_TOL),
         descent_slack=descent_slack,
         min_margin=min_margin,
-        unique_minimizer=bool(min_margin > tol),
+        unique_minimizer=bool(min_margin > EKELAND_TOL),
         grid_resolution=grid_resolution,
     )
 
@@ -233,7 +234,7 @@ class PipelineCertificate:
     bounding_scan: BoundingSearch
 
 
-def _smallest_feasible_j(problem, metric_params, sigma, anchor, k0r):
+def _smallest_feasible_j(problem, sigma, anchor, k0r):
     """Doubling-then-bisection search for the least j with d(f, g_j) < sigma/2."""
 
     def build(j):
@@ -241,7 +242,7 @@ def _smallest_feasible_j(problem, metric_params, sigma, anchor, k0r):
         return replace(perturb(problem, term), label=f"{problem.label}+base")
 
     def dist(j):
-        return function_distance(problem, build(j), metric_params)
+        return function_distance(problem, build(j))
 
     j = 1
     while dist(j) >= sigma / 2.0:
@@ -260,11 +261,7 @@ def _smallest_feasible_j(problem, metric_params, sigma, anchor, k0r):
     return hi, build(hi), dist(hi)
 
 
-def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201,
-                     metric_params: MetricParams | None = None,
-                     alpha_schedule=None, seed=0,
-                     box_schedule=(1.0, 2.0, 4.0, 8.0),
-                     bound_resolution=65):
+def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201, seed=0):
     """Construct a nearby problem that is provably well behaved at one point.
 
     Steps: find a bounding functional, rescale k0 against it, pull the
@@ -274,11 +271,9 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201,
     """
     if sigma <= 0:
         raise InputError("sigma must be positive")
-    mp = metric_params or MetricParams()
-    anchor = problem.domain.center if mp.anchor is None else np.asarray(mp.anchor, dtype=float)
+    anchor = problem.domain.center
 
-    search = find_bounding_functional(problem, seed=seed, box_schedule=box_schedule,
-                                      grid_resolution=bound_resolution)
+    search = find_bounding_functional(problem, seed=seed)
     if search.xi is None:
         raise NoBoundingFunctional(
             f"no bounding functional found for {problem.label} "
@@ -290,7 +285,7 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201,
                                    scanned=search.scanned)
     k0r = problem.cone.k0 / pairing
 
-    j, g, d_f_g = _smallest_feasible_j(problem, mp, float(sigma), anchor, k0r)
+    j, g, d_f_g = _smallest_feasible_j(problem, float(sigma), anchor, k0r)
 
     g_xi = scalarize_linear(g, xi_bar)
     box = g_xi.domain
@@ -303,9 +298,9 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201,
     radius = float(np.linalg.norm(near - anchor[None, :], axis=1).max())
 
     k0r_norm = float(np.linalg.norm(k0r))
-    ks = np.arange(0, mp.truncation + 1, dtype=float)
+    ks = np.arange(0, METRIC_TRUNCATION + 1, dtype=float)
     series = float(np.sum(2.0 ** (-ks) * (ks + radius)) * k0r_norm)
-    tail = float(2.0 ** (-mp.truncation) * (mp.truncation + 2 + radius) * k0r_norm)
+    tail = float(METRIC_TAIL * (METRIC_TRUNCATION + 2 + radius) * k0r_norm)
     epsilon = float(sigma) / (2.0 * series)
 
     spacing = problem.domain.lattice_spacing(grid_resolution)
@@ -325,29 +320,28 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201,
     if verdict.efficient != YES:
         raise CertificateFailure(
             f"x_hat failed the efficiency check ({verdict.efficient})", clause="efficiency")
-    schedule = geometric_schedule(20) if alpha_schedule is None else alpha_schedule
-    report = dh_diagnostic(h, ek.x_hat, alpha_schedule=schedule,
+    report = dh_diagnostic(h, ek.x_hat, alpha_schedule=geometric_schedule(CERT_DEPTH),
                            grid_resolution=grid_resolution, require_efficient=False)
     if report.verdict != WELL_POSED:
         raise CertificateFailure(
             f"DH diagnostic returned {report.verdict} at x_hat", clause="dh-evidence")
 
-    d_g_h = function_distance(g, h, mp)
-    d_f_h = function_distance(problem, h, mp)
+    d_g_h = function_distance(g, h)
+    d_f_h = function_distance(problem, h)
     if not d_f_h < sigma:
         raise CertificateFailure(
             f"d(f, h) = {d_f_h:.6g} is not below sigma = {sigma}", clause="metric-budget")
     if d_g_h > sigma / 2.0 + tail:
         raise CertificateFailure(
             f"d(g, h) = {d_g_h:.6g} exceeds sigma/2 + tail", clause="metric-budget")
-    if d_f_h > d_f_g + d_g_h + 2.0 * mp.tail_bound:
+    if d_f_h > d_f_g + d_g_h + 2.0 * METRIC_TAIL:
         raise CertificateFailure("metric triangle budget violated", clause="metric-budget")
 
     cert = PipelineCertificate(
         label=problem.label, sigma=float(sigma), xi_bar=xi_bar, k0_rescaled=k0r,
         j=j, sublevel_radius=radius, series_value=series, series_tail=tail,
         epsilon=epsilon, r=r, x_hat=ek.x_hat, x_hat_to_anchor=anchor_dist,
-        d_f_g=d_f_g, d_g_h=d_g_h, d_f_h=d_f_h, metric_tail=mp.tail_bound,
+        d_f_g=d_f_g, d_g_h=d_g_h, d_f_h=d_f_h, metric_tail=METRIC_TAIL,
         ekeland=ek, efficient_at_x_hat=verdict.efficient, dh_verdict=report.verdict,
         g=g, h=h, dh_report=report, bounding_scan=search,
     )
@@ -379,8 +373,7 @@ class ProbeReport:
     success_fraction: float | None
 
 
-def genericity_probe(problems, sigma, n_max=8, grid_resolution=201,
-                     metric_params: MetricParams | None = None, seed=0) -> ProbeReport:
+def genericity_probe(problems, sigma, n_max=8, grid_resolution=201, seed=0) -> ProbeReport:
     """Run the pipeline across a family and test shrinking-diameter membership.
 
     For each certified member, checks that for every n <= n_max some level
@@ -398,7 +391,7 @@ def genericity_probe(problems, sigma, n_max=8, grid_resolution=201,
             continue
         try:
             h, cert = density_pipeline(p, sigma, grid_resolution=grid_resolution,
-                                       metric_params=metric_params, seed=seed + k)
+                                       seed=seed + k)
         except NoBoundingFunctional as exc:
             members.append(ProbeMember(p.label, "refused", str(exc), None))
             continue
@@ -406,7 +399,7 @@ def genericity_probe(problems, sigma, n_max=8, grid_resolution=201,
             members.append(ProbeMember(p.label, "failed", f"{exc.clause}: {exc}", None))
             continue
         s = scalarize_linear(h, cert.xi_bar)
-        report = tykhonov_diagnostic(s, level_schedule=geometric_schedule(20),
+        report = tykhonov_diagnostic(s, level_schedule=geometric_schedule(CERT_DEPTH),
                                      grid_resolution=grid_resolution)
         diams = report.diam_curve[:, 0]
         levels = np.empty(n_max)

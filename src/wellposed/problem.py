@@ -24,6 +24,18 @@ LATTICE_CAP = 2_000_000
 CHUNK = 262_144
 _DIRECT_DIAMETER_MAX = 3000
 
+# function_distance is the truncated ball-sup series: the sum over
+# i = 1..METRIC_TRUNCATION of 2^-i u_i/(1+u_i), with u_i the sup of ||f - g||
+# over the radius-i ball about the box centre intersected with the box,
+# sampled at METRIC_SAMPLES seeded points plus a deterministic battery.  A
+# sup above METRIC_OVERFLOW (or non-finite) collapses the metric to 1, and
+# METRIC_TAIL bounds the dropped terms.
+METRIC_TRUNCATION = 20
+METRIC_SAMPLES = 4096
+METRIC_SEED = 0
+METRIC_OVERFLOW = 1e12
+METRIC_TAIL = 2.0 ** -METRIC_TRUNCATION
+
 
 # ---------------------------------------------------------------------------
 # domain box
@@ -106,13 +118,13 @@ class Box:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=1)
 
-    def iter_lattice(self, resolution, chunk=CHUNK):
-        """Yield (points, start_flat_index) chunks of the lattice in C order."""
+    def iter_lattice(self, resolution):
+        """Yield (points, start_flat_index) chunks of CHUNK points in C order."""
         axes = self._axes(resolution)
         total = self.lattice_size(resolution)
         shape = (resolution,) * self.dim
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total))
+        for start in range(0, total, CHUNK):
+            idx = np.arange(start, min(start + CHUNK, total))
             multi = np.unravel_index(idx, shape)
             pts = np.stack([axes[j][multi[j]] for j in range(self.dim)], axis=1)
             yield pts, start
@@ -364,11 +376,15 @@ def dual_vector(problem: VectorProblem, xi):
 
 
 def finite_image(problem: VectorProblem, x_bar):
-    """f(x_bar), refused when non-finite: no comparison against it is meaningful."""
+    """(x_bar, f(x_bar)) with x_bar flattened; x_bar must lie in the domain
+    box and f(x_bar) must be finite, or no comparison against it is meaningful."""
+    x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
+    if not problem.domain.contains(x_bar, slack=1e-9):
+        raise InputError("x_bar must lie in the domain box")
     f_bar = problem.evaluate_one(x_bar)
     if not np.all(np.isfinite(f_bar)):
         raise InputError("f(x_bar) must be finite")
-    return f_bar
+    return x_bar, f_bar
 
 
 def scalarize_linear(problem: VectorProblem, xi) -> ScalarProblem:
@@ -389,10 +405,7 @@ def scalarize_oriented(problem: VectorProblem, x_bar) -> ScalarProblem:
     value 0 at x_bar itself.  A non-finite image raises InputError, so no
     scan over this scalarization can drop a point as NaN.
     """
-    x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
-    if not problem.domain.contains(x_bar, slack=1e-9):
-        raise InputError("x_bar must lie in the domain box")
-    f_bar = finite_image(problem, x_bar)
+    _, f_bar = finite_image(problem, x_bar)
     base, cone = problem.evaluator, problem.cone
 
     def ev(points):
@@ -421,37 +434,6 @@ def level_set(problem: VectorProblem, y, grid_resolution) -> PointSet:
 
 # ---------------------------------------------------------------------------
 # distance between problems
-
-
-@dataclass(frozen=True)
-class MetricParams:
-    """Parameters of the truncated ball-sup series metric.
-
-    The metric is sum over i of 2^-i u_i/(1+u_i) with u_i the sup of
-    ||f - g|| over the radius-i ball around the anchor, intersected with
-    the domain box.  anchor=None means the box center.  Any sup above
-    overflow_cap (or non-finite) collapses the metric to its cap value 1.
-    """
-
-    truncation: int = 20
-    samples_per_ball: int = 4096
-    anchor: np.ndarray | None = None
-    seed: int = 0
-    overflow_cap: float = 1e12
-
-    def __post_init__(self):
-        if self.truncation < 1:
-            raise InputError("truncation must be >= 1")
-        if self.samples_per_ball < 1:
-            raise InputError("samples_per_ball must be >= 1")
-        if self.anchor is not None:
-            a = np.ascontiguousarray(np.asarray(self.anchor, dtype=float).reshape(-1))
-            a.setflags(write=False)
-            object.__setattr__(self, "anchor", a)
-
-    @property
-    def tail_bound(self):
-        return 2.0 ** (-self.truncation)
 
 
 def _difference_norms(p, q, points):
@@ -488,33 +470,28 @@ def _ball_battery(box: Box, anchor, radius):
     return np.array(rows)
 
 
-def function_distance(p, q, params: MetricParams | None = None) -> float:
+def function_distance(p, q) -> float:
     """Metric between two problems sharing a domain box; value in [0, 1]."""
-    params = params or MetricParams()
     if not (np.allclose(p.domain.lower, q.domain.lower) and np.allclose(p.domain.upper, q.domain.upper)):
         raise InputError("problems must share a domain box")
     box = p.domain
-    anchor = box.center if params.anchor is None else params.anchor
-    if anchor.shape != (box.dim,):
-        raise InputError("anchor dimension mismatch")
-    if not box.contains(anchor, slack=1e-9):
-        raise InputError("anchor must lie inside the domain box")
+    anchor = box.center
 
-    seeds = np.random.SeedSequence(params.seed).spawn(params.truncation)
+    seeds = np.random.SeedSequence(METRIC_SEED).spawn(METRIC_TRUNCATION)
     total = 0.0
-    for i in range(1, params.truncation + 1):
+    for i in range(1, METRIC_TRUNCATION + 1):
         radius = float(i)
         probes = _ball_battery(box, anchor, radius)
         rng = np.random.default_rng(seeds[i - 1])
-        dirs = rng.standard_normal((params.samples_per_ball, box.dim))
+        dirs = rng.standard_normal((METRIC_SAMPLES, box.dim))
         norms = np.linalg.norm(dirs, axis=1)
         norms[norms == 0] = 1.0
-        radii = radius * rng.random(params.samples_per_ball) ** (1.0 / box.dim)
+        radii = radius * rng.random(METRIC_SAMPLES) ** (1.0 / box.dim)
         samples = box.clip(anchor[None, :] + (radii / norms)[:, None] * dirs)
         pts = np.vstack([probes, samples])
         with np.errstate(over="ignore", invalid="ignore"):
             u = float(np.max(_difference_norms(p, q, pts)))
-        if not np.isfinite(u) or u > params.overflow_cap:
+        if not np.isfinite(u) or u > METRIC_OVERFLOW:
             return 1.0
         total += 2.0 ** (-i) * u / (1.0 + u)
     return total

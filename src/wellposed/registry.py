@@ -345,6 +345,7 @@ def c_bounded_entries():
 # weighted-squares scaling family (scalar form)
 
 HILBERT_RESOLUTIONS = {2: 201, 4: 21, 8: 7}
+HILBERT_LEVEL = 0.01
 
 
 def hilbert_scalar(d: int) -> ScalarProblem:
@@ -368,11 +369,12 @@ def hilbert_resolution(d: int) -> int:
     return HILBERT_RESOLUTIONS[d]
 
 
-def hilbert_level_diameter(d: int, level=0.01):
-    """Measured lattice diameter of the sublevel set at the recommended
-    resolution, with the spacing used; the exact value is 2*d*sqrt(level)."""
+def hilbert_level_diameter(d: int):
+    """Measured lattice diameter of the HILBERT_LEVEL sublevel set at the
+    recommended resolution, with the spacing used; the exact value is
+    2*d*sqrt(HILBERT_LEVEL)."""
     sp = hilbert_scalar(d)
     res = hilbert_resolution(d)
-    sel = np.flatnonzero(sp.domain.map_lattice(res, sp.evaluate) <= level + 1e-9)
+    sel = np.flatnonzero(sp.domain.map_lattice(res, sp.evaluate) <= HILBERT_LEVEL + 1e-9)
     measured = diameter(sp.domain.lattice_points_at(res, sel)) if sel.size else 0.0
     return measured, sp.domain.lattice_spacing(res)

@@ -127,6 +127,53 @@ def test_readme_problem_file(tmp_path):
     assert "efficient=yes" in text.splitlines()
 
 
+def box_config(d):
+    """A d-dimensional problem file: orthant-ordered squares on [-1, 1]^d."""
+    return (f"label: cube-{d}\n"
+            f"decision_dim: {d}\n"
+            "objective_dim: 2\n"
+            f"domain: {{lower: {[-1] * d}, upper: {[1] * d}}}\n"
+            "cone: {generators: [[1, 0], [0, 1]]}\n"
+            "objective: ['x1^2', '(x1 - 1)^2']\n")
+
+
+@pytest.mark.parametrize("d, resolution", [(1, 201), (2, 201), (3, 125), (4, 37)])
+def test_config_default_resolution_fits_the_lattice_cap(tmp_path, d, resolution):
+    cfg = tmp_path / "p.yaml"
+    cfg.write_text(box_config(d))
+    code, text = run_cli(tmp_path, "distance", "--config", str(cfg), "--y", "1,1")
+    assert code == 0
+    assert f"resolution={resolution}" in text.splitlines()
+    code, text = run_cli(tmp_path, "distance", "--config", str(cfg), "--y", "1,1",
+                         "--grid", "9")
+    assert "resolution=9" in text.splitlines()
+
+
+QUADRANT_CONFIG = (
+    "label: quadrant\n"
+    "decision_dim: 1\n"
+    "objective_dim: 2\n"
+    "domain: {lower: [-1], upper: [1]}\n"
+    "cone: {generators: [[-1, 0], [0, 1]]}\n"
+    "objective: ['-x^2', 'x^2']\n")
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["classify", "--problem", "quad-2d", "--grid", "21"], "--point", "-0.5,0.5"),
+    (["distance", "--problem", "quad-pair"], "--y", "-1,2"),
+    (["tykhonov-check", "--grid", "21"], "--xi", "-1,1"),
+], ids=["point", "y", "xi"])
+def test_vector_with_leading_minus_parses_like_the_equals_form(tmp_path, argv, option, value):
+    cfg = tmp_path / "quadrant.yaml"
+    cfg.write_text(QUADRANT_CONFIG)
+    if "--problem" not in argv:
+        argv = argv + ["--config", str(cfg)]
+    code, spaced = run_cli(tmp_path, *argv, option, value)
+    assert code == 0
+    assert main(argv + [f"{option}={value}", "--out", str(tmp_path / "eq.txt")]) == 0
+    assert spaced == (tmp_path / "eq.txt").read_text()
+
+
 def test_problem_and_config_conflict(tmp_path):
     cfg = tmp_path / "p.yaml"
     cfg.write_text(CONFIG_TEXT)

@@ -21,6 +21,7 @@ from wellposed import (
     tykhonov_diagnostic,
     weff_via_distance,
 )
+from wellposed.diagnostics import DECAY_RATIO, TOL_ABS
 
 from oracles import orthant_dom_witness, orthant_weak_witness
 
@@ -48,6 +49,28 @@ def x_neg_xex():
 def test_schedule_is_decreasing_powers():
     s = geometric_schedule(4)
     np.testing.assert_allclose(s, [1.0, 0.5, 0.25, 0.125, 0.0625])
+
+
+def test_schedule_starts_at_one_and_refuses_negative_depth():
+    np.testing.assert_array_equal(geometric_schedule(0), [1.0])
+    with pytest.raises(InputError, match="stop_power must be >= 0"):
+        geometric_schedule(-1)
+
+
+def test_classify_tolerance_is_two_cell_diagonals():
+    p = quad_pair()
+    assert classify_point(p, [0.0], 51).tol == 2.0 * p.domain.lattice_spacing(51)
+
+
+def test_reports_carry_the_fixed_curve_thresholds():
+    assert (TOL_ABS, DECAY_RATIO) == (1e-3, 0.1)
+    p = quad_pair()
+    reports = [tykhonov_diagnostic(scalarize_linear(p, [1.0, 0.0]), grid_resolution=51),
+               dh_diagnostic(p, [0.0], grid_resolution=51),
+               dh_via_scalarization(p, [0.0], grid_resolution=51),
+               dh_sufficient_linear(p, [1.0, 0.0], grid_resolution=51).report]
+    for rep in reports:
+        assert (rep.tol_abs, rep.decay_ratio) == (TOL_ABS, DECAY_RATIO)
 
 
 def test_classify_exponential_tail():
@@ -86,6 +109,17 @@ def test_classify_agrees_with_componentwise_oracle():
 def test_classify_rejects_outside_domain():
     with pytest.raises(InputError):
         classify_point(quad_pair(), [5.0], 51)
+
+
+@pytest.mark.parametrize("check", [
+    lambda p: classify_point(p, [5.0], 51),
+    lambda p: weff_via_distance(p, [5.0], 51),
+    lambda p: dh_diagnostic(p, [5.0], grid_resolution=51, require_efficient=False),
+    lambda p: dh_via_scalarization(p, [5.0], grid_resolution=51),
+])
+def test_every_route_refuses_x_bar_outside_the_box(check):
+    with pytest.raises(InputError, match="x_bar must lie in the domain box"):
+        check(quad_pair())
 
 
 def test_non_finite_image_at_x_bar_is_refused():

@@ -6,7 +6,6 @@ from scipy.spatial.distance import pdist
 
 from wellposed import (
     Box,
-    MetricParams,
     PerturbationTerm,
     PointSet,
     VectorProblem,
@@ -19,7 +18,7 @@ from wellposed import (
     scalarize_oriented,
 )
 
-from wellposed.problem import _DIRECT_DIAMETER_MAX, CHUNK
+from wellposed.problem import _DIRECT_DIAMETER_MAX, CHUNK, METRIC_TAIL, METRIC_TRUNCATION
 
 from oracles import metric_series
 
@@ -245,12 +244,11 @@ def test_function_distance_symmetric_and_triangle():
             label="t", decision_dim=1, objective_dim=2,
             evaluator=(lambda s: lambda x: base.evaluate(x) + s[None, :])(shift),
             domain=base.domain, cone=base.cone))
-    params = MetricParams()
-    d01 = function_distance(probs[0], probs[1], params)
-    assert d01 == function_distance(probs[1], probs[0], params)
-    d12 = function_distance(probs[1], probs[2], params)
-    d02 = function_distance(probs[0], probs[2], params)
-    assert d02 <= d01 + d12 + 2 * params.tail_bound
+    d01 = function_distance(probs[0], probs[1])
+    assert d01 == function_distance(probs[1], probs[0])
+    d12 = function_distance(probs[1], probs[2])
+    d02 = function_distance(probs[0], probs[2])
+    assert d02 <= d01 + d12 + 2 * METRIC_TAIL
 
 
 def test_function_distance_overflow_maps_to_one():
@@ -259,5 +257,6 @@ def test_function_distance_overflow_maps_to_one():
     assert function_distance(f, g) == 1.0
 
 
-def test_metric_params_tail_bound():
-    assert MetricParams(truncation=20).tail_bound == pytest.approx(2.0 ** -20)
+def test_metric_tail_is_two_to_minus_truncation():
+    assert METRIC_TRUNCATION == 20
+    assert METRIC_TAIL == 2.0 ** -METRIC_TRUNCATION
