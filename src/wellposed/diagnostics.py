@@ -21,6 +21,7 @@ from .problem import (
     VectorProblem,
     diameter,
     finite_image,
+    lattice_image,
     level_set,
     scalarize_linear,
     scalarize_oriented,
@@ -50,10 +51,30 @@ STRICT_DELTA_SCHEDULE = geometric_schedule(20)
 
 
 def _validate_schedule(schedule, what):
-    s = np.asarray(schedule, dtype=float).reshape(-1)
+    # a fresh array: a report's schedule must not alias the module defaults
+    s = np.array(schedule, dtype=float).reshape(-1)
     if s.size == 0 or np.any(s <= 0) or np.any(np.diff(s) >= 0):
         raise InputError(f"{what} must be a decreasing positive schedule")
     return s
+
+
+def _nested_members(rows, bounds):
+    """Flat indices of the rows <= each bound row componentwise, level by level.
+
+    A row that fails one level has a component above that level's bound, or
+    a NaN; when the next bound row is componentwise <= the previous one, that
+    component is above the next bound too.  Such a level is tested only on
+    the members of the level before, and any other level on all rows, so
+    every level's members equal np.all(rows <= bound, axis=1) by construction.
+    """
+    members, prev = None, None
+    for bound in bounds:
+        if members is None or not np.all(bound <= prev):
+            members = np.flatnonzero(np.all(rows <= bound, axis=1))
+        else:
+            members = members[np.all(rows[members] <= bound, axis=1)]
+        prev = bound
+        yield members
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +124,7 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> Effici
     # over 100 MB on a lattice at the store cap
     for pts, _ in problem.domain.iter_lattice(grid_resolution):
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = problem.evaluate(pts)
-            if not np.isfinite(vals).all():
-                # a NaN image compares false everywhere and would drop out
-                raise InputError("objective must be finite on the lattice")
+            vals = lattice_image(problem, pts)
             diff = vals - f_bar[None, :]
             margins = cone.margins(-diff)  # membership margins of f_bar - f(x)
             sizes = np.linalg.norm(diff, axis=1)
@@ -226,7 +244,11 @@ def tykhonov_diagnostic(sp: ScalarProblem, level_schedule=None,
     """Level-set diameter decay above the lattice infimum (scalar problems).
 
     Levels are inf + offset for each schedule offset; the argmin always
-    belongs to every level set, so the curve exists everywhere.
+    belongs to every level set, so the curve exists everywhere.  The level
+    sets shrink with the offset, so each level is tested only on the
+    members of the level before (see _nested_members; a bound that fails
+    to shrink under rounding is tested on every point).  A non-finite
+    lattice value raises InputError.
     """
     schedule = _validate_schedule(
         DEFAULT_ALPHA_SCHEDULE if level_schedule is None else level_schedule,
@@ -238,8 +260,8 @@ def tykhonov_diagnostic(sp: ScalarProblem, level_schedule=None,
     argmin_flat = int(values.argmin())
     diams = np.zeros((schedule.size, 1))
     counts = np.zeros((schedule.size, 1), dtype=int)
-    for i, off in enumerate(schedule):
-        sel = np.flatnonzero(values <= inf + off)
+    levels = _nested_members(values[:, None], (np.array([inf + off]) for off in schedule))
+    for i, sel in enumerate(levels):
         if sel.size == 0:
             raise WellposedError("internal: empty level set above the infimum")
         pts = sp.domain.lattice_points_at(grid_resolution, sel)
@@ -264,6 +286,16 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
     Checks L(f(x_bar) + alpha*c) for each direction c and decreasing alpha;
     well-posed evidence needs every direction's curve to collapse.  x_bar
     must classify efficient unless require_efficient=False.
+
+    Up to the store cap the dual-generator margins <g, f(x)> of the whole
+    lattice are kept, and along each direction the levels are walked
+    nested: for interior c the bound rows <g, f(x_bar) + alpha*c> + tol
+    shrink with alpha, so a point outside one level is outside every later
+    one, and each level is tested only on the members of the level before.
+    Where rounding makes a bound row grow, that level is tested on every
+    point, so the members equal the per-level test exactly.  Above the cap
+    each level is one level_set pass.  A non-finite lattice image raises
+    InputError on both paths.
     """
     x_bar, f_bar = finite_image(problem, x_bar)
     schedule = _validate_schedule(
@@ -292,13 +324,11 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
     if box.lattice_size(grid_resolution) <= LATTICE_CAP:
         # <g, f(x)> per lattice point and dual generator g
         img_margins = box.map_lattice(
-            grid_resolution, lambda pts: problem.evaluate(pts) @ cone.dual_generators.T)
+            grid_resolution, lambda pts: lattice_image(problem, pts) @ cone.dual_generators.T)
         for j, c in enumerate(dirs):
-            for i, alpha in enumerate(schedule):
-                bound = cone.dual_generators @ (f_bar + alpha * c)
-                with np.errstate(invalid="ignore"):
-                    mask = np.all(img_margins <= bound[None, :] + cone.tol, axis=1)
-                members = np.flatnonzero(mask)
+            bounds = (cone.dual_generators @ (f_bar + alpha * c) + cone.tol
+                      for alpha in schedule)
+            for i, members in enumerate(_nested_members(img_margins, bounds)):
                 counts[i, j] = members.size
                 if members.size:
                     diams[i, j] = diameter(box.lattice_points_at(grid_resolution, members))

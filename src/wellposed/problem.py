@@ -209,11 +209,39 @@ def _pairwise_max(points):
     return float(np.sqrt(best))
 
 
+def _off_line_ends(points):
+    """Mask that drops each row lying strictly inside the segment between its
+    two neighbouring rows.
+
+    A row whose previous and next rows share its leading d-1 coordinates,
+    with its last coordinate strictly between theirs, lies inside the segment
+    joining them, whatever order the rows are in.  Every such row is dropped;
+    the least and greatest last coordinate of each run of rows sharing the
+    leading coordinates are kept, so the dropped rows lie in the convex hull
+    of the kept ones.  On lattice points in flat-index order this keeps the
+    two ends of each lattice line along the last axis.
+    """
+    keep = np.ones(points.shape[0], dtype=bool)
+    if points.shape[0] < 3:
+        return keep
+    lead, last = points[:, :-1], points[:, -1]
+    same = np.all(lead[1:] == lead[:-1], axis=1)
+    prev, mid, nxt = last[:-2], last[1:-1], last[2:]
+    inside = same[:-1] & same[1:] & (np.minimum(prev, nxt) < mid) & (mid < np.maximum(prev, nxt))
+    keep[1:-1] = ~inside
+    return keep
+
+
 def diameter(point_set):
     """Exact max pairwise distance; 0 for empty or singleton sets.
 
     Large sets are reduced to convex hull vertices first (after an isometric
-    projection onto the affine span, so degenerate sets stay exact).
+    projection onto the affine span, so degenerate sets stay exact).  Before
+    the hull, rows that lie strictly inside the segment between their two
+    neighbours are dropped (see _off_line_ends): no such row is a hull
+    vertex, so the hull is unchanged.  The projection is still computed on
+    the full set, so every kept row's coordinates, and hence the result, are
+    those of the unreduced route.
     """
     pts = point_set.points if isinstance(point_set, PointSet) else np.atleast_2d(np.asarray(point_set, dtype=float))
     n = pts.shape[0]
@@ -232,9 +260,10 @@ def diameter(point_set):
         return float(coords.max() - coords.min())
     from scipy.spatial import ConvexHull, QhullError
 
+    ends = coords[_off_line_ends(pts)]
     try:
-        hull = ConvexHull(coords)
-        return _pairwise_max(coords[hull.vertices])
+        hull = ConvexHull(ends)
+        return _pairwise_max(ends[hull.vertices])
     except QhullError:
         return _pairwise_max(coords)
 
@@ -387,6 +416,15 @@ def finite_image(problem: VectorProblem, x_bar):
     return x_bar, f_bar
 
 
+def lattice_image(problem: VectorProblem, points):
+    """f on a batch of lattice points.  A non-finite image raises InputError:
+    a NaN compares false everywhere, so a scan would drop its point silently."""
+    vals = problem.evaluate(points)
+    if not np.isfinite(vals).all():
+        raise InputError("objective must be finite on the lattice")
+    return vals
+
+
 def scalarize_linear(problem: VectorProblem, xi) -> ScalarProblem:
     """Composition <xi, f(.)> for xi in the dual cone, xi != 0."""
     xi = dual_vector(problem, xi)
@@ -422,13 +460,16 @@ def scalarize_oriented(problem: VectorProblem, x_bar) -> ScalarProblem:
 
 
 def level_set(problem: VectorProblem, y, grid_resolution) -> PointSet:
-    """Lattice points x with f(x) <=_C y (non-strict membership of y - f(x))."""
+    """Lattice points x with f(x) <=_C y (non-strict membership of y - f(x)).
+
+    A non-finite lattice image raises InputError.
+    """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != (problem.objective_dim,):
         raise InputError("level vector dimension mismatch")
     box, cone = problem.domain, problem.cone
     mask = box.map_lattice(
-        grid_resolution, lambda pts: cone.contains_batch(y[None, :] - problem.evaluate(pts)))
+        grid_resolution, lambda pts: cone.contains_batch(y[None, :] - lattice_image(problem, pts)))
     return PointSet(box.lattice_points_at(grid_resolution, np.flatnonzero(mask)))
 
 

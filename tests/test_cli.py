@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -125,6 +126,24 @@ def test_readme_problem_file(tmp_path):
     code, text = run_cli(tmp_path, "classify", "--config", str(cfg), "--point", "0")
     assert code == 0
     assert "efficient=yes" in text.splitlines()
+
+
+# sha256 of the full report; any drift in a DH or Tykhonov report fails here
+REPORT_PINS = [
+    (["dh-check", "--config", "bench/diagnose3d.yaml", "--point", "0,0,0", "--grid", "41"],
+     "66822ffa8b14014bebacc8282c01b7adc95ba4d43d58b93ab3b3ead280a541b7"),
+    (["tykhonov-check", "--problem", "quad-pair", "--xi", "1,1", "--grid", "401"],
+     "37872c631019e725a31be0ba986380d8e7fdf5065b5f89a6eec28df6035d54d8"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", REPORT_PINS, ids=[a[0] for a, _ in REPORT_PINS])
+def test_level_set_reports_are_pinned(tmp_path, monkeypatch, argv, sha256):
+    # the config path is echoed into the report, so it is given relative to the repo root
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    out = tmp_path / "report.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def box_config(d):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wellposed import (
     Box,
@@ -7,6 +9,7 @@ from wellposed import (
     InputError,
     NO,
     NOT_WELL_POSED,
+    OrderingCone,
     VectorProblem,
     WELL_POSED,
     YES,
@@ -21,7 +24,8 @@ from wellposed import (
     tykhonov_diagnostic,
     weff_via_distance,
 )
-from wellposed.diagnostics import DECAY_RATIO, TOL_ABS
+from wellposed.diagnostics import DECAY_RATIO, DEFAULT_ALPHA_SCHEDULE, TOL_ABS, _nested_members
+from wellposed.problem import LATTICE_CAP
 
 from oracles import orthant_dom_witness, orthant_weak_witness
 
@@ -295,3 +299,81 @@ def test_linear_route_sufficient_only():
 def test_linear_route_false_for_flat_function():
     res = dh_sufficient_linear(zero_fn(), [1.0, 0.0], grid_resolution=201)
     assert res.holds is False
+
+
+def nan_right_tail():
+    # (x^2, (x-1)^2) with a NaN image on (0.9, 1]
+    def f(x):
+        v = np.stack([x[:, 0] ** 2, (x[:, 0] - 1.0) ** 2], axis=1)
+        v[x[:, 0] > 0.9] = np.nan
+        return v
+    return prob(f, 2, [-1.0], [1.0])
+
+
+@pytest.mark.parametrize("grid", [201, LATTICE_CAP + 1])  # store path and level_set path
+def test_dh_refuses_nan_lattice_images_without_the_efficiency_check(grid):
+    with pytest.raises(InputError, match="objective must be finite on the lattice"):
+        dh_diagnostic(nan_right_tail(), [0.5], grid_resolution=grid, require_efficient=False)
+
+
+def test_report_schedule_does_not_alias_the_default():
+    before = DEFAULT_ALPHA_SCHEDULE.copy()
+    reports = [tykhonov_diagnostic(scalarize_linear(quad_pair(), [1.0, 0.0]), grid_resolution=11),
+               dh_diagnostic(quad_pair(), [0.0], grid_resolution=11)]
+    for rep in reports:
+        assert not np.shares_memory(rep.schedule, DEFAULT_ALPHA_SCHEDULE)
+        rep.schedule[0] = 7.0
+    np.testing.assert_array_equal(DEFAULT_ALPHA_SCHEDULE, before)
+
+
+def test_nested_walk_falls_back_to_all_rows_when_a_bound_grows():
+    rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+    bounds = [[0.5, 0.5], [1.0, 0.2], [0.1, 0.1], [3.0, 3.0], [np.nan, 3.0], [1.0, 1.0]]
+    got = [m.tolist() for m in _nested_members(rows, np.array(bounds))]
+    # rows 1 (level 1), 2 and 3 (level 3) and 0-2 (level 5) fail the level before:
+    # each is found only by the test of all rows
+    assert got == [[0], [0, 1], [0], [0, 1, 2, 3], [], [0, 1, 2]]
+
+
+def assert_same_levels(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(2, 4), st.data())
+def test_nested_walk_equals_the_per_level_test(m, data):
+    n = data.draw(st.integers(m, 6))
+    # a positive first coordinate on every generator makes the cone pointed
+    first = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    rest = data.draw(st.lists(st.integers(-3, 3), min_size=n * (m - 1), max_size=n * (m - 1)))
+    gens = np.column_stack([first, np.reshape(rest, (n, m - 1))]).astype(float)
+    try:
+        cone = OrderingCone(m, gens)
+    except InputError:
+        assume(False)  # not solid
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from([1.0, 1e6, 1e12]))
+    f_bar = scale * rng.normal(size=m)
+    # images on a coarse grid about f_bar, so many sit on a level's boundary
+    step = data.draw(st.sampled_from([2.0**-3, 2.0**-20, 2.0**-45]))
+    images = f_bar + step * rng.integers(-6, 7, size=(400, m)) @ cone.generators[:m]
+    img_margins = images @ cone.dual_generators.T
+    # alphas fall from 1 to far below an ulp of f_bar, where the bound rows tie
+    powers = np.sort(data.draw(st.lists(st.integers(0, 70), min_size=1, max_size=12,
+                                        unique=True)))
+    schedule = 2.0 ** -powers.astype(float)
+    weights = rng.uniform(0.1, 1.0, size=n)
+    for c in np.vstack([cone.interior_direction_battery(), weights @ cone.generators]):
+        bounds = [cone.dual_generators @ (f_bar + alpha * c) for alpha in schedule]
+        want = [np.flatnonzero(np.all(img_margins <= b[None, :] + cone.tol, axis=1))
+                for b in bounds]
+        assert_same_levels(list(_nested_members(img_margins, (b + cone.tol for b in bounds))),
+                           want)
+    # the scalar form used by the Tykhonov curve: one column, levels inf + offset
+    values = images[:, 0]
+    inf = float(values.min())
+    want = [np.flatnonzero(values <= inf + off) for off in schedule]
+    assert_same_levels(
+        list(_nested_members(values[:, None], (np.array([inf + off]) for off in schedule))), want)

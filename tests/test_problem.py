@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from wellposed import (
     Box,
+    InputError,
     PerturbationTerm,
     PointSet,
     VectorProblem,
@@ -14,11 +15,20 @@ from wellposed import (
     level_set,
     orthant,
     perturb,
+    registry,
     scalarize_linear,
     scalarize_oriented,
 )
 
-from wellposed.problem import _DIRECT_DIAMETER_MAX, CHUNK, METRIC_TAIL, METRIC_TRUNCATION
+from wellposed import problem as problem_module
+from wellposed.diagnostics import DEFAULT_ALPHA_SCHEDULE
+from wellposed.problem import (
+    _DIRECT_DIAMETER_MAX,
+    CHUNK,
+    METRIC_TAIL,
+    METRIC_TRUNCATION,
+    _off_line_ends,
+)
 
 from oracles import metric_series
 
@@ -103,6 +113,86 @@ def test_diameter_dense_cloud_matches_hull_route():
     cloud = rng.normal(size=(5000, 2))
     far = np.linalg.norm(cloud[:, None, :2] - cloud[None, :500, :2], axis=2).max()
     assert diameter(cloud) >= far - 1e-12
+
+
+def span_coords(points):
+    """The coordinates diameter's hull route measures in: about the mean, in
+    the SVD basis of the affine span (the same steps as problem.diameter)."""
+    centered = points - points.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    rank = int(np.sum(s > max(s[0], 1.0) * 1e-12))
+    return centered @ vt[:rank].T
+
+
+def brute_max_distance(points):
+    """pdist(points).max() in blocks: cdist and pdist share one distance kernel."""
+    return max(float(cdist(points[s:s + 512], points).max()) for s in range(0, len(points), 512))
+
+
+def assert_endpoint_reduction_exact(monkeypatch, points, brute=True):
+    got = diameter(points)
+    with monkeypatch.context() as m:
+        m.setattr(problem_module, "_off_line_ends", lambda p: np.ones(len(p), dtype=bool))
+        assert got == diameter(points)  # the unreduced hull route, bit for bit
+    if brute:
+        # every pair, in the coordinates the hull route measures in
+        assert got == brute_max_distance(span_coords(points))
+        # and in the original coordinates, up to the rounding of the rotation
+        assert abs(got - brute_max_distance(points)) <= 1e-14 * got
+
+
+def lattice_subsets(seed):
+    """Lattice points inside random balls, in flat-index order."""
+    rng = np.random.default_rng(seed)
+    for d, res in ((2, 81), (3, 19), (4, 9)):
+        box = Box(-rng.uniform(0.5, 2.0, d), rng.uniform(0.5, 2.0, d))
+        lattice = box.lattice(res)
+        centre = box.lower + rng.random(d) * (box.upper - box.lower)
+        r = np.linalg.norm(lattice - centre, axis=1)
+        yield lattice[r <= np.quantile(r, rng.uniform(0.6, 0.9))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_line_endpoint_reduction_keeps_diameter_on_lattice_subsets(monkeypatch, seed):
+    rng = np.random.default_rng(100 + seed)
+    for pts in lattice_subsets(seed):
+        assert pts.shape[0] > _DIRECT_DIAMETER_MAX
+        assert _off_line_ends(pts).sum() < pts.shape[0] // 2  # the reduction is active
+        plateau = pts.copy()
+        plateau[:, -1] = np.minimum(plateau[:, -1], np.median(plateau[:, -1]))
+        for variant in (pts, pts[rng.permutation(len(pts))], plateau):
+            assert_endpoint_reduction_exact(monkeypatch, variant)
+        for doubled in (np.repeat(pts, 2, axis=0), np.tile(pts, (2, 1))):
+            assert_endpoint_reduction_exact(monkeypatch, doubled, brute=False)
+
+
+def test_line_endpoint_reduction_keeps_diameter_on_planes_in_r3(monkeypatch):
+    u, w = np.meshgrid(np.linspace(-1, 1, 61), np.linspace(0, 2, 71), indexing="ij")
+    slanted = np.stack([u.ravel(), 2 * u.ravel(), w.ravel()], axis=1)  # lines along x3 kept
+    flat = np.stack([u.ravel(), w.ravel(), np.full(u.size, 0.5)], axis=1)
+    for pts in (slanted, flat, slanted[np.hypot(u.ravel(), w.ravel() - 1) <= 1]):
+        assert span_coords(pts).shape[1] == 2
+        assert_endpoint_reduction_exact(monkeypatch, pts)
+    assert _off_line_ends(slanted).sum() == 2 * 61
+    assert _off_line_ends(flat).all()  # no last coordinate lies strictly between
+
+
+def test_line_endpoint_reduction_keeps_hilbert_level_diameters(monkeypatch):
+    sp = registry.hilbert_scalar(4)
+    values = sp.domain.map_lattice(21, sp.evaluate)
+    for off in DEFAULT_ALPHA_SCHEDULE:
+        sel = np.flatnonzero(values <= values.min() + off)
+        if sel.size > _DIRECT_DIAMETER_MAX:
+            pts = sp.domain.lattice_points_at(21, sel)
+            assert_endpoint_reduction_exact(monkeypatch, pts, brute=sel.size <= 6000)
+
+
+def test_off_line_ends_drops_only_points_strictly_between_neighbours():
+    pts = np.array([[0, 0], [0, 1], [0, 2], [0, 2], [0, 3], [1, 3], [1, 1], [1, 2],
+                    [1, 0], [2, 5]], dtype=float)
+    np.testing.assert_array_equal(
+        _off_line_ends(pts), [1, 0, 1, 1, 1, 1, 1, 1, 1, 1])
+    np.testing.assert_array_equal(_off_line_ends(pts[::-1]), [1, 1, 1, 1, 1, 1, 1, 1, 0, 1])
 
 
 def test_perturbation_fixed_value():
@@ -199,6 +289,14 @@ def test_level_set_quad_pair_square_root_window(alpha):
     ps = level_set(quad_pair(), [alpha, alpha], 201)
     assert abs(ps.points).max() <= np.sqrt(alpha) + 1e-12
     assert abs(ps.points).max() >= np.sqrt(alpha) - 0.02 - 1e-12
+
+
+def test_level_set_refuses_nan_lattice_images():
+    # a NaN image compares false everywhere, so unchecked its point would silently drop out
+    p = vec_problem(lambda x: np.where(x[:, :1] > 0.9, np.nan, x[:, :1] ** 2) * [1.0, 1.0],
+                    2, [-1.0], [1.0])
+    with pytest.raises(InputError, match="objective must be finite on the lattice"):
+        level_set(p, [1.0, 1.0], 201)
 
 
 def test_level_set_monotone_in_cone_order():
