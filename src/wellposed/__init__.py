@@ -36,8 +36,6 @@ from .problem import (
     Box,
     VectorProblem,
     ScalarProblem,
-    PointSet,
-    PerturbationTerm,
     diameter,
     perturb,
     scalarize_linear,
@@ -45,7 +43,7 @@ from .problem import (
     level_set,
     function_distance,
 )
-from .config import load_problem, problem_from_mapping, problem_to_mapping
+from .config import load_problem, problem_from_mapping
 from .analysis import (
     StructuralVerdict,
     BoundingSearch,
@@ -89,7 +87,7 @@ from .perturb import (
 from . import registry
 
 # importing the perturb submodule above rebinds the package attribute to the
-# module; restore the operator so `wellposed.perturb(problem, term)` works
+# module; restore the operator so `wellposed.perturb(problem, ...)` works
 from .problem import perturb  # noqa: E402
 
 __all__ = [
@@ -114,8 +112,6 @@ __all__ = [
     "Box",
     "VectorProblem",
     "ScalarProblem",
-    "PointSet",
-    "PerturbationTerm",
     "diameter",
     "perturb",
     "scalarize_linear",
@@ -124,7 +120,6 @@ __all__ = [
     "function_distance",
     "load_problem",
     "problem_from_mapping",
-    "problem_to_mapping",
     "StructuralVerdict",
     "BoundingSearch",
     "SionGap",

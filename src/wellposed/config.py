@@ -2,9 +2,11 @@
 
 YAML documents with the fields label, decision_dim, objective_dim, domain
 (lower/upper), cone (generators, optional dual_generators, optional k0),
-and objective (list of expression strings, one per image coordinate).
-Loading is safe_load plus the in-package expression compiler, so config
-text can never execute code.
+objective (list of expression strings, one per image coordinate) and
+optional continuous (a boolean).  An unknown key is refused, so a
+misspelt optional key cannot silently fall back to its default.  Loading
+is safe_load plus the in-package expression compiler, so config text can
+never execute code.
 """
 
 from __future__ import annotations
@@ -23,10 +25,18 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _refuse_unknown(mapping, known, where):
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+
+
 def problem_from_mapping(doc) -> VectorProblem:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
     label = str(_require(doc, "label", "config"))
+    _refuse_unknown(doc, ("label", "decision_dim", "objective_dim", "domain", "cone",
+                          "objective", "continuous"), label)
     try:
         d = int(_require(doc, "decision_dim", label))
         m = int(_require(doc, "objective_dim", label))
@@ -36,6 +46,7 @@ def problem_from_mapping(doc) -> VectorProblem:
     dom = _require(doc, "domain", label)
     if not isinstance(dom, dict):
         raise ConfigError(f"{label}: domain must be a mapping with lower/upper")
+    _refuse_unknown(dom, ("lower", "upper"), f"{label}: domain")
     box = Box(np.asarray(_require(dom, "lower", label), dtype=float),
               np.asarray(_require(dom, "upper", label), dtype=float))
     if box.dim != d:
@@ -44,6 +55,7 @@ def problem_from_mapping(doc) -> VectorProblem:
     cone_doc = _require(doc, "cone", label)
     if not isinstance(cone_doc, dict):
         raise ConfigError(f"{label}: cone must be a mapping")
+    _refuse_unknown(cone_doc, ("generators", "dual_generators", "k0"), f"{label}: cone")
     cone = OrderingCone(
         ambient_dim=m,
         generators=np.asarray(_require(cone_doc, "generators", label), dtype=float),
@@ -56,6 +68,10 @@ def problem_from_mapping(doc) -> VectorProblem:
     if not isinstance(exprs, (list, tuple)) or len(exprs) != m:
         raise ConfigError(f"{label}: objective must list {m} expressions")
     evaluator = compile_objectives([str(e) for e in exprs], d)
+    continuous = doc.get("continuous", True)
+    if not isinstance(continuous, bool):
+        # bool("false") is True: a quoted flag must not read as its opposite
+        raise ConfigError(f"{label}: continuous must be true or false")
 
     return VectorProblem(
         label=label,
@@ -64,8 +80,7 @@ def problem_from_mapping(doc) -> VectorProblem:
         evaluator=evaluator,
         domain=box,
         cone=cone,
-        continuous=bool(doc.get("continuous", True)),
-        assume_lsc=bool(doc.get("assume_lsc", True)),
+        continuous=continuous,
     )
 
 
@@ -80,20 +95,3 @@ def load_problem(path) -> VectorProblem:
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return problem_from_mapping(doc)
-
-
-def problem_to_mapping(problem: VectorProblem):
-    """Echo view of a problem used in reports (expressions are not recoverable
-    from compiled evaluators, so registry problems echo label and geometry)."""
-    return {
-        "label": problem.label,
-        "decision_dim": problem.decision_dim,
-        "objective_dim": problem.objective_dim,
-        "domain_lower": list(problem.domain.lower),
-        "domain_upper": list(problem.domain.upper),
-        "cone_generators": [list(g) for g in problem.cone.generators],
-        "cone_dual_generators": [list(g) for g in problem.cone.dual_generators],
-        "cone_k0": list(problem.cone.k0),
-        "continuous": problem.continuous,
-        "assume_lsc": problem.assume_lsc,
-    }

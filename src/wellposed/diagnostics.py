@@ -2,9 +2,10 @@
 
 Verdicts are tri-states: "no" always carries a re-checkable witness, "yes"
 is evidence at the stated resolution and tolerance, "inconclusive" marks
-searches that exhausted their schedule.  The tolerance is two lattice
-cell diagonals, so verdicts are meaningful at the chosen resolution.  The
-curve thresholds TOL_ABS and DECAY_RATIO are fixed module constants.
+searches that ended without either.  The tolerance is two lattice cell
+diagonals, so verdicts are meaningful at the chosen resolution.  The
+curve thresholds TOL_ABS and DECAY_RATIO and the strict-efficiency
+thresholds STRICT_EPS and STRICT_DELTA are fixed module constants.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ def geometric_schedule(stop_power):
 
 
 DEFAULT_ALPHA_SCHEDULE = geometric_schedule(10)
-STRICT_EPS_SCHEDULE = geometric_schedule(6)
-STRICT_DELTA_SCHEDULE = geometric_schedule(20)
+# the strict-efficiency containment: {D <= STRICT_DELTA} must lie within
+# STRICT_EPS of x_bar (see classify_point)
+STRICT_EPS = 2.0 ** -6
+STRICT_DELTA = 2.0 ** -20
 
 
 def _validate_schedule(schedule, what):
@@ -100,9 +103,13 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> Effici
     A domination witness is a lattice point whose image sits below f(x_bar)
     in the cone order (membership at the cone's own tolerance) and differs
     by more than tol, two lattice cell diagonals, in norm; a weak witness
-    needs every facet margin above tol.  Strict efficiency runs the
-    epsilon-delta containment search over geometric grids and is decided
-    through the oriented-distance values.
+    needs every facet margin above tol.  Strict efficiency is the
+    epsilon-delta containment of the oriented-distance sublevel sets
+    {D <= delta} in the epsilon-ball about x_bar.  Those sets shrink with
+    delta, so only the smallest epsilon and delta can decide it: "no" with
+    a witness when a point of {D <= cone.tol} lies farther than STRICT_EPS,
+    else "inconclusive" when a point of {D <= STRICT_DELTA} does, else
+    "yes".
     A non-finite lattice image raises InputError.
     """
     x_bar, f_bar = finite_image(problem, x_bar)
@@ -113,10 +120,9 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> Effici
     efficient, weakly = YES, YES
     hard_tol = cone.tol
 
-    eps_sched = STRICT_EPS_SCHEDULE
-    delta_sched = STRICT_DELTA_SCHEDULE
-    # per-delta max distance of {D <= delta}, and the hard level-zero set
-    delta_maxdist = np.zeros(delta_sched.size)
+    # max distance to x_bar over {D <= STRICT_DELTA}, and over the hard
+    # level-zero set
+    delta_maxdist = 0.0
     zero_maxdist = 0.0
     zero_far_witness = None
 
@@ -152,22 +158,17 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> Effici
                 zero_maxdist = far
                 k = int(np.flatnonzero(near_zero)[int(np.argmax(dists[near_zero]))])
                 zero_far_witness = {"x": pts[k], "distance": far, "value": float(dvals[k])}
-        for j, delta in enumerate(delta_sched):
-            sel = dvals <= delta
-            if sel.any():
-                delta_maxdist[j] = max(delta_maxdist[j], float(dists[sel].max()))
+        sel = dvals <= STRICT_DELTA
+        if sel.any():
+            delta_maxdist = max(delta_maxdist, float(dists[sel].max()))
 
-    strict = YES
-    strict_witness = None
-    for eps in eps_sched:
-        if zero_maxdist > eps:
-            strict = NO
-            strict_witness = zero_far_witness
-            break
-        if not np.any(delta_maxdist <= eps):
-            strict = INCONCLUSIVE
-    if strict_witness is not None:
-        witnesses["strictly_efficient"] = strict_witness
+    if zero_maxdist > STRICT_EPS:
+        strict = NO
+        witnesses["strictly_efficient"] = zero_far_witness
+    elif delta_maxdist > STRICT_EPS:
+        strict = INCONCLUSIVE
+    else:
+        strict = YES
 
     # order relations: strict implies efficient implies weak
     if weakly == NO:
@@ -336,9 +337,9 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
         # above the store cap, trade time for memory: one lattice pass per level
         for j, c in enumerate(dirs):
             for i, alpha in enumerate(schedule):
-                ps = level_set(problem, f_bar + alpha * c, grid_resolution)
-                counts[i, j] = ps.size
-                diams[i, j] = diameter(ps)
+                pts = level_set(problem, f_bar + alpha * c, grid_resolution)
+                counts[i, j] = pts.shape[0]
+                diams[i, j] = diameter(pts)
 
     verdict = _aggregate([_curve_verdict(diams[:, j], spacing) for j in range(dirs.shape[0])])
     return WellPosednessReport(

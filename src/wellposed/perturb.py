@@ -31,10 +31,8 @@ from .errors import (
     NoBoundingFunctional,
 )
 from .problem import (
-    LATTICE_CAP,
     METRIC_TAIL,
     METRIC_TRUNCATION,
-    PerturbationTerm,
     ScalarProblem,
     VectorProblem,
     function_distance,
@@ -84,8 +82,8 @@ def tikhonov_regularize(problem: VectorProblem, x_bar, n, grid_resolution=201):
         raise HypothesisNotMet(
             f"x_bar must classify efficient for {problem.label}; got {base_verdict.efficient}")
 
-    term = PerturbationTerm(1.0 / n, 1.0, x_bar, problem.cone.k0)
-    perturbed = replace(perturb(problem, term), label=f"{problem.label}+tik{n}")
+    perturbed = replace(perturb(problem, 1.0 / n, x_bar, problem.cone.k0),
+                        label=f"{problem.label}+tik{n}")
 
     verdict = classify_point(perturbed, x_bar, grid_resolution)
     report = dh_diagnostic(perturbed, x_bar, alpha_schedule=geometric_schedule(CERT_DEPTH),
@@ -148,8 +146,6 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
     if epsilon <= 0 or r <= 0:
         raise InputError("epsilon and r must be positive")
     total = sp.domain.lattice_size(grid_resolution)
-    if total > LATTICE_CAP:
-        raise InputError("lattice too large for the exhaustive Ekeland step")
     points = sp.domain.lattice(grid_resolution)
     if values is None:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -238,8 +234,7 @@ def _smallest_feasible_j(problem, sigma, anchor, k0r):
     """Doubling-then-bisection search for the least j with d(f, g_j) < sigma/2."""
 
     def build(j):
-        term = PerturbationTerm(1.0 / j, 1.0, anchor, k0r)
-        return replace(perturb(problem, term), label=f"{problem.label}+base")
+        return replace(perturb(problem, 1.0 / j, anchor, k0r), label=f"{problem.label}+base")
 
     def dist(j):
         return function_distance(problem, build(j))
@@ -308,8 +303,7 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201, seed=0)
     start_point = box.lattice_points_at(grid_resolution, [argmin_flat])[0]
     ek = ekeland_point(g_xi, start_point, epsilon, r, grid_resolution, values=values)
 
-    term = PerturbationTerm(epsilon, 1.0, ek.x_hat, k0r)
-    h = replace(perturb(g, term), label=f"{problem.label}+cert")
+    h = replace(perturb(g, epsilon, ek.x_hat, k0r), label=f"{problem.label}+cert")
 
     anchor_dist = float(np.linalg.norm(ek.x_hat - anchor))
     if anchor_dist > radius + spacing:

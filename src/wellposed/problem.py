@@ -41,6 +41,12 @@ METRIC_TAIL = 2.0 ** -METRIC_TRUNCATION
 # domain box
 
 
+def _checked_resolution(resolution):
+    if resolution < 2:
+        raise InputError("grid resolution must be >= 2")
+    return resolution
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box {x : lower <= x <= upper} with lower < upper."""
@@ -95,39 +101,29 @@ class Box:
     # -- lattices ----------------------------------------------------------
 
     def _axes(self, resolution):
-        if resolution < 2:
-            raise InputError("grid resolution must be >= 2")
+        resolution = _checked_resolution(resolution)
         return [np.linspace(self.lower[j], self.upper[j], resolution) for j in range(self.dim)]
 
     def lattice_size(self, resolution):
-        return resolution ** self.dim
+        return _checked_resolution(resolution) ** self.dim
 
     def lattice_spacing(self, resolution):
         """Cell diagonal of the uniform lattice (the spacing used in tolerances)."""
-        if resolution < 2:
-            raise InputError("grid resolution must be >= 2")
-        return float(np.linalg.norm((self.upper - self.lower) / (resolution - 1)))
+        step = (self.upper - self.lower) / (_checked_resolution(resolution) - 1)
+        return float(np.linalg.norm(step))
 
     def lattice(self, resolution):
         total = self.lattice_size(resolution)
         if total > LATTICE_CAP:
-            raise InputError(
-                f"lattice of {total} points exceeds cap {LATTICE_CAP}; use map_lattice"
-            )
-        axes = self._axes(resolution)
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=1)
+            raise InputError(f"lattice of {total} points exceeds cap {LATTICE_CAP}")
+        return self.lattice_points_at(resolution, np.arange(total))
 
     def iter_lattice(self, resolution):
         """Yield (points, start_flat_index) chunks of CHUNK points in C order."""
-        axes = self._axes(resolution)
         total = self.lattice_size(resolution)
-        shape = (resolution,) * self.dim
         for start in range(0, total, CHUNK):
             idx = np.arange(start, min(start + CHUNK, total))
-            multi = np.unravel_index(idx, shape)
-            pts = np.stack([axes[j][multi[j]] for j in range(self.dim)], axis=1)
-            yield pts, start
+            yield self.lattice_points_at(resolution, idx), start
 
     def map_lattice(self, resolution, fn):
         """fn applied to every lattice chunk, stacked in C order.
@@ -154,7 +150,7 @@ class Box:
         x = np.asarray(x, dtype=float).reshape(-1)
         if not self.contains(x, slack=1e-9):
             raise InputError("point lies outside the box")
-        h = (self.upper - self.lower) / (resolution - 1)
+        h = (self.upper - self.lower) / (_checked_resolution(resolution) - 1)
         steps = np.clip(np.rint((x - self.lower) / h).astype(np.int64), 0, resolution - 1)
         point = self.lower + steps * h
         flat = int(np.ravel_multi_index(tuple(steps), (resolution,) * self.dim))
@@ -162,30 +158,7 @@ class Box:
 
 
 # ---------------------------------------------------------------------------
-# point sets and exact diameters
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """Finite subset of a box domain (lattice selections, level sets)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 and pts.shape[1] else 1)
-        pts = np.ascontiguousarray(pts)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def size(self):
-        return self.points.shape[0]
-
-    @property
-    def is_empty(self):
-        return self.size == 0
+# diameters
 
 
 def _pairwise_max(points):
@@ -233,17 +206,21 @@ def _off_line_ends(points):
 
 
 def diameter(point_set):
-    """Exact max pairwise distance; 0 for empty or singleton sets.
+    """Max pairwise distance of the rows of an (n, d) array; 0 for n <= 1.
 
-    Large sets are reduced to convex hull vertices first (after an isometric
-    projection onto the affine span, so degenerate sets stay exact).  Before
-    the hull, rows that lie strictly inside the segment between their two
-    neighbours are dropped (see _off_line_ends): no such row is a hull
-    vertex, so the hull is unchanged.  The projection is still computed on
-    the full set, so every kept row's coordinates, and hence the result, are
-    those of the unreduced route.
+    Up to _DIRECT_DIAMETER_MAX rows it is pdist's maximum.  Larger sets are
+    reduced to convex hull vertices first, after an isometric projection
+    onto the affine span so degenerate sets keep their hull.  Distances are
+    then measured in the projected coordinates, whose rounding depends on
+    the whole set (its row order and repeats too), so the result can differ
+    from pdist's maximum by a few ulps (up to 6.0e-16 relative where
+    measured).  Before the hull, rows that lie strictly inside the segment
+    between their two neighbours are dropped (see _off_line_ends): no such
+    row is a hull vertex, so the hull is unchanged.  The projection is still
+    computed on the full set, so every kept row's coordinates, and hence the
+    result, are those of the unreduced route.
     """
-    pts = point_set.points if isinstance(point_set, PointSet) else np.atleast_2d(np.asarray(point_set, dtype=float))
+    pts = np.atleast_2d(np.asarray(point_set, dtype=float))
     n = pts.shape[0]
     if n <= 1:
         return 0.0
@@ -284,8 +261,9 @@ class VectorProblem:
     """Vector objective on a box, ordered by a cone.
 
     The evaluator must be pure and vectorized: (n, decision_dim) ->
-    (n, objective_dim).  `continuous` and `assume_lsc` are assumption flags
-    echoed into reports, never tested numerically.
+    (n, objective_dim).  `continuous` is an assumption flag, never tested
+    numerically: tikhonov_regularize reads it to decide whether a strict
+    efficiency "no" counts against the certificate.
     """
 
     label: str
@@ -295,7 +273,6 @@ class VectorProblem:
     domain: Box
     cone: OrderingCone
     continuous: bool = True
-    assume_lsc: bool = True
 
     def __post_init__(self):
         if self.domain.dim != self.decision_dim:
@@ -346,48 +323,32 @@ class ScalarProblem:
 # perturbations and scalarizations
 
 
-@dataclass(frozen=True)
-class PerturbationTerm:
-    """Additive term a * ||x - center||^exponent * direction.
+def perturb(problem: VectorProblem, amplitude, center, direction) -> VectorProblem:
+    """New problem with amplitude * ||x - center|| * direction added to the
+    objective.
 
     The direction must be strictly interior to the ordering cone, so the
     perturbation moves images up the order.
     """
-
-    amplitude: float
-    exponent: float
-    center: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise InputError("amplitude must be >= 0")
-        if self.exponent not in (1.0, 2.0, 1, 2):
-            raise InputError("exponent must be 1 or 2")
-        c = np.asarray(self.center, dtype=float).reshape(-1)
-        d = np.asarray(self.direction, dtype=float).reshape(-1)
-        for name, arr in (("center", c), ("direction", d)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def perturb(problem: VectorProblem, term: PerturbationTerm) -> VectorProblem:
-    """New problem with the norm-cone term added to the objective."""
-    if term.center.shape != (problem.decision_dim,):
+    if not amplitude >= 0:  # NaN too
+        raise InputError("amplitude must be >= 0")
+    center = np.array(center, dtype=float).reshape(-1)
+    direction = np.array(direction, dtype=float).reshape(-1)
+    if center.shape != (problem.decision_dim,):
         raise InputError("perturbation center dimension mismatch")
-    if term.direction.shape != (problem.objective_dim,):
+    if direction.shape != (problem.objective_dim,):
         raise InputError("perturbation direction dimension mismatch")
-    if not problem.cone.contains(term.direction, strict=True):
+    if not problem.cone.contains(direction, strict=True):
         raise NotInteriorPoint("perturbation direction must be strictly interior to the cone")
+    center.setflags(write=False)
+    direction.setflags(write=False)
     base = problem.evaluator
-    a, p = float(term.amplitude), float(term.exponent)
-    center, direction = term.center, term.direction
+    a = float(amplitude)
 
     def shifted(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.linalg.norm(pts - center[None, :], axis=1)
-        return np.asarray(base(pts), dtype=float) + (a * r ** p)[:, None] * direction[None, :]
+        return np.asarray(base(pts), dtype=float) + (a * r)[:, None] * direction[None, :]
 
     return replace(problem, label=problem.label + "+pert", evaluator=shifted)
 
@@ -459,8 +420,9 @@ def scalarize_oriented(problem: VectorProblem, x_bar) -> ScalarProblem:
 # level sets
 
 
-def level_set(problem: VectorProblem, y, grid_resolution) -> PointSet:
-    """Lattice points x with f(x) <=_C y (non-strict membership of y - f(x)).
+def level_set(problem: VectorProblem, y, grid_resolution) -> np.ndarray:
+    """Lattice points x with f(x) <=_C y (non-strict membership of y - f(x)),
+    as a (k, decision_dim) array in flat-index order.
 
     A non-finite lattice image raises InputError.
     """
@@ -470,7 +432,7 @@ def level_set(problem: VectorProblem, y, grid_resolution) -> PointSet:
     box, cone = problem.domain, problem.cone
     mask = box.map_lattice(
         grid_resolution, lambda pts: cone.contains_batch(y[None, :] - lattice_image(problem, pts)))
-    return PointSet(box.lattice_points_at(grid_resolution, np.flatnonzero(mask)))
+    return box.lattice_points_at(grid_resolution, np.flatnonzero(mask))
 
 
 # ---------------------------------------------------------------------------

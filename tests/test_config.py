@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wellposed import ConfigError, load_problem, problem_from_mapping, problem_to_mapping
+from wellposed import ConfigError, load_problem, problem_from_mapping
 from wellposed.expr import parse_expression
 
 from oracles import correctly_rounded_power
@@ -21,9 +21,6 @@ def test_mapping_round_trip_evaluates():
     xs = np.linspace(-2, 2, 9)[:, None]
     np.testing.assert_allclose(p.evaluate(xs),
                                np.stack([xs[:, 0], xs[:, 0] ** 2], axis=1))
-    echo = problem_to_mapping(p)
-    assert echo["label"] == "toy"
-    assert echo["domain_lower"] == [-2.0]
 
 
 def test_yaml_file_loads(tmp_path):
@@ -44,6 +41,34 @@ def test_missing_key_rejected(missing):
     doc = {k: v for k, v in BASE.items() if k != missing}
     with pytest.raises(ConfigError):
         problem_from_mapping(doc)
+
+
+@pytest.mark.parametrize("doc, where, key", [
+    (dict(BASE, continous=False), "toy", "continous"),
+    (dict(BASE, assume_lsc=False), "toy", "assume_lsc"),
+    (dict(BASE, domain={"lower": [-2.0], "upper": [2.0], "uper": [3.0]}), "toy: domain", "uper"),
+    (dict(BASE, cone={"generators": [[1.0, 0.0], [0.0, 1.0]],
+                      "dual_generator": [[1.0, 0.0], [0.0, 1.0]]}), "toy: cone", "dual_generator"),
+])
+def test_unknown_key_rejected(doc, where, key):
+    # a misspelt optional key would otherwise fall back to its default silently
+    with pytest.raises(ConfigError, match=f"^{where}: unknown key '{key}'$"):
+        problem_from_mapping(doc)
+
+
+@pytest.mark.parametrize("flag", ["false", "no", 0, None])
+def test_continuous_must_be_a_yaml_boolean(flag):
+    with pytest.raises(ConfigError, match="^toy: continuous must be true or false$"):
+        problem_from_mapping(dict(BASE, continuous=flag))
+
+
+def test_optional_keys_accepted():
+    doc = dict(BASE, continuous=False,
+               cone={"generators": [[1.0, 0.0], [0.0, 1.0]],
+                     "dual_generators": [[1.0, 0.0], [0.0, 1.0]], "k0": [1.0, 2.0]})
+    p = problem_from_mapping(doc)
+    assert p.continuous is False
+    np.testing.assert_array_equal(p.cone.k0, [1.0, 2.0])
 
 
 def test_objective_count_must_match_dim():

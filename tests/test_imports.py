@@ -26,18 +26,30 @@ def test_import_loads_no_scipy_or_yaml():
     assert _loaded_after("import wellposed") == []
 
 
-@pytest.mark.parametrize("argv, record", [
-    (["classify", "--problem", "biquad", "--point", "0.3"], "classification"),
-    (["distance", "--problem", "quad-pair", "--y", "1,1"], "oriented-distance"),
-    (["analyze", "--problem", "x-x2", "--xi", "0,1"], "star-quasiconvexity"),
-], ids=["classify", "distance", "analyze"])
-def test_command_loads_no_scipy(tmp_path, argv, record):
+# every README command but replicate, with a line its report must hold
+README_COMMANDS = [
+    (["classify", "--problem", "biquad", "--point", "0.3"], "record=classification"),
+    (["distance", "--problem", "quad-pair", "--y", "1,1"], "record=oriented-distance"),
+    (["analyze", "--problem", "x-x2", "--xi", "0,1"], "record=star-quasiconvexity"),
+    (["tykhonov-check", "--problem", "quad-pair", "--xi", "1,1", "--depth", "20"],
+     "kind=tykhonov"),
+    (["dh-check", "--problem", "skew-cone-quad", "--point", "0.5", "--format", "table-csv"],
+     "level,direction_index,diameter"),
+    (["perturb", "--problem", "zero-function", "--point", "0", "--n", "2"],
+     "record=regularization-certificate"),
+    (["pipeline", "--problem", "x-x2", "--sigma", "0.1"], "record=pipeline-certificate"),
+    (["probe", "--problem", "quad-pair,x-minus-xex", "--sigma", "0.5"], "record=probe-summary"),
+]
+
+
+@pytest.mark.parametrize("argv, line", README_COMMANDS, ids=[a[0] for a, _ in README_COMMANDS])
+def test_command_loads_no_scipy(tmp_path, argv, line):
     out = tmp_path / "report.txt"
     loaded = _loaded_after(
         "import wellposed.cli\n"
         f"assert wellposed.cli.main({argv + ['--out', str(out)]!r}) == 0")
     assert loaded == []
-    assert f"record={record}" in out.read_text()
+    assert line in out.read_text().splitlines()
 
 
 def test_oriented_distance_loads_no_scipy():

@@ -7,8 +7,7 @@ from scipy.spatial.distance import cdist, pdist
 from wellposed import (
     Box,
     InputError,
-    PerturbationTerm,
-    PointSet,
+    NotInteriorPoint,
     VectorProblem,
     diameter,
     function_distance,
@@ -80,14 +79,14 @@ def test_nearest_lattice_point_snaps():
     x, flat = box.nearest_lattice_point(21, [0.13])
     np.testing.assert_allclose(x, [0.1])
     np.testing.assert_allclose(box.lattice_points_at(21, [flat])[0], x)
+    with pytest.raises(InputError, match="grid resolution must be >= 2"):
+        box.nearest_lattice_point(1, [0.13])  # a step of 2/0 would snap to NaN
 
 
 def test_diameter_fixed_values():
     assert diameter(np.array([[0.0, 0.0], [3.0, 4.0]])) == pytest.approx(5.0)
     assert diameter(np.array([[2.0, 7.0]])) == 0.0
-    ps = PointSet(np.empty((0, 2)))
-    assert ps.is_empty
-    assert diameter(ps) == 0.0
+    assert diameter(np.empty((0, 2))) == 0.0
 
 
 @settings(deadline=None, max_examples=100)
@@ -197,15 +196,13 @@ def test_off_line_ends_drops_only_points_strictly_between_neighbours():
 
 def test_perturbation_fixed_value():
     p = vec_problem(lambda x: np.zeros((x.shape[0], 2)), 2, [-5.0, -5.0], [5.0, 5.0])
-    term = PerturbationTerm(1.0, 1.0, np.zeros(2), np.array([1.0, 1.0]))
-    q = perturb(p, term)
+    q = perturb(p, 1.0, np.zeros(2), np.array([1.0, 1.0]))
     np.testing.assert_allclose(q.evaluate_one([3.0, 4.0]), [5.0, 5.0], atol=1e-12)
 
 
 def test_perturbation_vanishes_at_center():
     p = quad_pair()
-    term = PerturbationTerm(0.5, 1.0, np.array([0.3]), p.cone.k0)
-    q = perturb(p, term)
+    q = perturb(p, 0.5, np.array([0.3]), p.cone.k0)
     np.testing.assert_allclose(q.evaluate_one([0.3]), p.evaluate_one([0.3]), atol=1e-12)
 
 
@@ -214,19 +211,37 @@ def test_perturbation_vanishes_at_center():
 def test_double_perturbation_adds(x, a1, a2):
     p = quad_pair()
     c = np.array([0.0])
-    one = perturb(perturb(p, PerturbationTerm(a1, 1.0, c, p.cone.k0)),
-                  PerturbationTerm(a2, 1.0, c, p.cone.k0))
-    two = perturb(p, PerturbationTerm(a1 + a2, 1.0, c, p.cone.k0))
+    one = perturb(perturb(p, a1, c, p.cone.k0), a2, c, p.cone.k0)
+    two = perturb(p, a1 + a2, c, p.cone.k0)
     np.testing.assert_allclose(one.evaluate_one([x]), two.evaluate_one([x]), atol=1e-9)
 
 
 def test_perturbation_moves_along_interior():
     p = quad_pair()
-    term = PerturbationTerm(1.0, 1.0, np.array([0.0]), p.cone.k0)
-    q = perturb(p, term)
+    q = perturb(p, 1.0, np.array([0.0]), p.cone.k0)
     x = np.array([[1.3]])
     delta = q.evaluate(x) - p.evaluate(x)
     assert p.cone.contains(delta[0], strict=True)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((-0.5, [0.0], [1.0, 1.0]), InputError, "amplitude must be >= 0"),
+    ((np.nan, [0.0], [1.0, 1.0]), InputError, "amplitude must be >= 0"),
+    ((0.5, [0.0, 0.0], [1.0, 1.0]), InputError, "center dimension mismatch"),
+    ((0.5, [0.0], [1.0, 1.0, 1.0]), InputError, "direction dimension mismatch"),
+    ((0.5, [0.0], [1.0, 0.0]), NotInteriorPoint, "strictly interior"),
+])
+def test_perturb_refuses_bad_terms(args, error, message):
+    with pytest.raises(error, match=message):
+        perturb(quad_pair(), *args)
+
+
+def test_perturb_keeps_its_own_center_and_direction():
+    p = quad_pair()
+    center, direction = np.array([0.5]), np.array([1.0, 2.0])
+    q = perturb(p, 1.0, center, direction)
+    center[0], direction[:] = -1.0, 5.0
+    np.testing.assert_array_equal(q.evaluate_one([1.5]), p.evaluate_one([1.5]) + [1.0, 2.0])
 
 
 def test_scalarize_linear_selects_coordinate():
@@ -274,21 +289,21 @@ def test_scalarize_oriented_midpoint_convex_for_cone_convex_f():
 
 def test_level_set_quadratic_interval():
     p = vec_problem(lambda x: x[:, :1] ** 2, 1, [-2.0], [2.0], cone=orthant(1))
-    ps = level_set(p, [1.0], 201)
-    assert abs(ps.points).max() <= 1.0 + 1e-12
-    assert ps.size == 101  # lattice spacing 0.02 inside [-1, 1]
+    pts = level_set(p, [1.0], 201)
+    assert abs(pts).max() <= 1.0 + 1e-12
+    assert pts.shape == (101, 1)  # lattice spacing 0.02 inside [-1, 1]
 
 
 def test_level_set_of_zero_function_is_everything():
     p = vec_problem(lambda x: np.zeros((x.shape[0], 2)), 2, [-1.0], [1.0])
-    assert level_set(p, [0.0, 0.0], 51).size == 51
+    assert level_set(p, [0.0, 0.0], 51).shape == (51, 1)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 1.0])
 def test_level_set_quad_pair_square_root_window(alpha):
-    ps = level_set(quad_pair(), [alpha, alpha], 201)
-    assert abs(ps.points).max() <= np.sqrt(alpha) + 1e-12
-    assert abs(ps.points).max() >= np.sqrt(alpha) - 0.02 - 1e-12
+    pts = level_set(quad_pair(), [alpha, alpha], 201)
+    assert abs(pts).max() <= np.sqrt(alpha) + 1e-12
+    assert abs(pts).max() >= np.sqrt(alpha) - 0.02 - 1e-12
 
 
 def test_level_set_refuses_nan_lattice_images():
@@ -303,8 +318,8 @@ def test_level_set_monotone_in_cone_order():
     p = quad_pair()
     small = level_set(p, [0.3, 0.3], 101)
     large = level_set(p, [0.3 + 0.5, 0.3 + 0.7], 101)  # shift by a cone element
-    small_rows = {tuple(r) for r in np.round(small.points, 9)}
-    large_rows = {tuple(r) for r in np.round(large.points, 9)}
+    small_rows = {tuple(r) for r in np.round(small, 9)}
+    large_rows = {tuple(r) for r in np.round(large, 9)}
     assert small_rows <= large_rows
 
 
@@ -325,8 +340,7 @@ def test_function_distance_constant_difference_frozen():
 
 def test_function_distance_norm_cone_series_frozen():
     f = vec_problem(lambda x: np.zeros((x.shape[0], 2)), 2, [-20.0], [20.0])
-    term = PerturbationTerm(0.25, 1.0, np.array([0.0]), np.array([1.0, 1.0]))
-    g = perturb(f, term)
+    g = perturb(f, 0.25, np.array([0.0]), np.array([1.0, 1.0]))
     want = metric_series([i * np.sqrt(2.0) / 4.0 for i in range(1, 21)])
     assert want == pytest.approx(0.37717069535786457, abs=1e-15)
     assert function_distance(f, g) == pytest.approx(want, abs=1e-9)
