@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import row_max, row_min
 from .cone import simplex_lattice
 from .diagnostics import INCONCLUSIVE
 from .errors import InputError, NumericalFailure
@@ -277,11 +278,11 @@ def sion_gap(matrix, w_domain, z_subdivisions=64, w_resolution=33) -> SionGap:
     # sup over z-lattice of (exact) inf over w
     z_lattice = simplex_lattice(kz, z_subdivisions)
     inner = z_lattice @ (a @ corners.T)  # (nz, ncorners)
-    phi = inner.min(axis=1)
+    phi = row_min(inner)
     sup_inf = float(phi.max())
 
     # inf over w-lattice of (exact) sup over z: max coordinate of A w
-    psi = (w_lattice @ a.T).max(axis=1)
+    psi = row_max(w_lattice @ a.T)
     inf_sup = float(psi.min())
 
     # exact LP values for both orders

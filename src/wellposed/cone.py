@@ -19,6 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ._rows import row_min
 from .errors import ConeValidationError, InputError, NotInteriorPoint
 
 TOL_MEMBERSHIP = 1e-9
@@ -217,7 +218,7 @@ class OrderingCone:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.ambient_dim:
             raise InputError(f"expected points of length {self.ambient_dim}")
-        return (pts @ self.dual_generators.T).min(axis=1)
+        return row_min(pts @ self.dual_generators.T)
 
     def contains_batch(self, points, strict=False):
         mg = self.margins(points)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import row_all_le, row_norm
 from .distance import oriented_distance_batch
 from .errors import HypothesisNotMet, InputError, NotInteriorPoint, WellposedError
 from .problem import (
@@ -73,9 +74,9 @@ def _nested_members(rows, bounds):
     members, prev = None, None
     for bound in bounds:
         if members is None or not np.all(bound <= prev):
-            members = np.flatnonzero(np.all(rows <= bound, axis=1))
+            members = np.flatnonzero(row_all_le(rows, bound))
         else:
-            members = members[np.all(rows[members] <= bound, axis=1)]
+            members = members[row_all_le(rows[members], bound)]
         prev = bound
         yield members
 
@@ -133,9 +134,9 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> Effici
             vals = lattice_image(problem, pts)
             diff = vals - f_bar[None, :]
             margins = cone.margins(-diff)  # membership margins of f_bar - f(x)
-            sizes = np.linalg.norm(diff, axis=1)
+            sizes = row_norm(diff)
             dvals = oriented_distance_batch(cone, diff)
-        dists = np.linalg.norm(pts - x_bar[None, :], axis=1)
+        dists = row_norm(pts - x_bar[None, :])
 
         dom = (margins >= -cone.tol) & (sizes > rtol)
         if dom.any() and "efficient" not in witnesses:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import row_all_le, row_max, row_min, row_norm
 from .cone import OrderingCone
 from .errors import InputError, NumericalFailure
 
@@ -88,11 +89,11 @@ def _dual_projections(cone: OrderingCone, points):
     duals = cone.dual_generators  # (f, m)
     base = max(cone.tol, 1e-10)
     unit = cone.generators / np.linalg.norm(cone.generators, axis=1)[:, None]
-    low = (points @ unit.T).min(axis=1)
+    low = row_min(points @ unit.T)
     in_dual = low >= -base
     # only the rows outside C* at the base tolerance need their norms
     rest = np.flatnonzero(~in_dual)
-    tol = base * np.maximum(1.0, np.linalg.norm(points[rest], axis=1))
+    tol = base * np.maximum(1.0, row_norm(points[rest]))
     in_dual[rest] = low[rest] >= -tol
     yield np.flatnonzero(in_dual), points[in_dual]
     rest, tol = rest[~in_dual[rest]], tol[~in_dual[rest]]
@@ -102,13 +103,13 @@ def _dual_projections(cone: OrderingCone, points):
             return
         rows = points[rest]
         lam = _many_row_product(rows, pinv.T)  # (k, size)
-        ok = (lam >= -tol[:, None]).all(axis=1)
+        ok = row_all_le(-lam, tol[:, None])  # lam >= -tol: negation is exact
         if not ok.any():
             continue
         proj = _many_row_product(lam, duals[list(support)])  # (k, m)
         resid = rows - proj
         others = [j for j in range(duals.shape[0]) if j not in support]
-        ok &= (resid @ duals[others].T <= tol[:, None]).all(axis=1)
+        ok &= row_all_le(resid @ duals[others].T, tol[:, None])
         # KKT needs <p, y - p> = 0; the normal equations give it, but
         # rank-deficient subsets can slip through, so re-check cheaply
         ok &= np.abs(np.einsum("ij,ij->i", proj, resid)) <= 1e-7 * (1.0 + np.einsum("ij,ij->i", proj, proj))
@@ -124,11 +125,11 @@ def oriented_distance_batch(cone: OrderingCone, points):
     if pts.shape[1] != cone.ambient_dim:
         raise InputError(f"expected points of length {cone.ambient_dim}")
     # the largest facet margin inside -C, replaced by ||P_{C*}(y)|| outside
-    values = (pts @ cone.dual_generators.T).max(axis=1)
+    values = row_max(pts @ cone.dual_generators.T)
     outside = values > cone.tol
     norms = values[outside]
     for rows, proj in _dual_projections(cone, pts[outside]):
-        norms[rows] = np.linalg.norm(proj, axis=1)
+        norms[rows] = row_norm(proj)
     values[outside] = norms
     return values
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._rows import row_norm
 from .analysis import BoundingSearch, find_bounding_functional, is_C_convex
 from .diagnostics import (
     NO,
@@ -164,7 +165,7 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
     cur = flat0
     iterations = 0
     while True:
-        weights = values + epsilon * np.linalg.norm(points - points[cur], axis=1)
+        weights = values + epsilon * row_norm(points - points[cur])
         nxt = int(np.argmin(weights))  # first minimum = lexicographically smallest
         if nxt == cur:
             break
@@ -175,7 +176,7 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
 
     x_hat = points[cur]
     dist_start = float(np.linalg.norm(x_hat - x0))
-    final = values + epsilon * np.linalg.norm(points - x_hat, axis=1) - values[cur]
+    final = values + epsilon * row_norm(points - x_hat) - values[cur]
     final[cur] = np.inf
     min_margin = float(final.min()) if total > 1 else np.inf
     descent_slack = float(values[flat0] - epsilon * dist_start - values[cur])
@@ -290,7 +291,7 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201, seed=0)
     argmin_flat = int(values.argmin())
     near = box.lattice_points_at(grid_resolution,
                                  np.flatnonzero(values <= values[argmin_flat] + 1.0))
-    radius = float(np.linalg.norm(near - anchor[None, :], axis=1).max())
+    radius = float(row_norm(near - anchor[None, :]).max())
 
     k0r_norm = float(np.linalg.norm(k0r))
     ks = np.arange(0, METRIC_TRUNCATION + 1, dtype=float)

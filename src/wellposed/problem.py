@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._rows import row_all_eq, row_norm
 from .cone import OrderingCone
 from .distance import oriented_distance_batch
 from .errors import InputError, NotInteriorPoint
@@ -162,23 +163,41 @@ class Box:
 
 
 def _pairwise_max(points):
-    n = points.shape[0]
-    if points.shape[1] == 1:
+    """Largest distance between two rows of an (n, d) array, n >= 2, equal to
+    scipy's pdist(points).max() bit for bit.
+
+    pdist sums the squared coordinate differences of a pair in coordinate
+    order and takes one correctly rounded sqrt, which is monotone, so the
+    maximum of the sums in that order, square-rooted once, is its maximum.
+    Strips of 32 rows are swept against blocks of at most 4096 later rows
+    in two reused buffers, so beyond one transposed copy of the points the
+    memory is fixed at any n.
+    """
+    n, d = points.shape
+    if d == 1:
         # rounding is monotone and sqrt(fl(x^2)) == |x| in binary64 (barring
         # over- or underflow of the square), so on finite points this equals
         # pdist(points).max() bit for bit
         return float(points.max() - points.min())
-    if n <= _DIRECT_DIAMETER_MAX:
-        from scipy.spatial.distance import pdist
-
-        return float(pdist(points).max())
-    best = 0.0
-    for start in range(0, n, 1024):
-        blk = points[start:start + 1024]
-        for start2 in range(start, n, 4096):
-            other = points[start2:start2 + 4096]
-            d2 = ((blk[:, None, :] - other[None, :, :]) ** 2).sum(axis=2)
-            best = max(best, float(d2.max()))
+    coords = np.ascontiguousarray(points.T)
+    acc = np.empty((min(n, 32), min(n, 4096)))
+    sq = np.empty_like(acc)
+    best = np.float64(0.0)
+    # pdist's C loop raises no floating-point warnings, so neither does this
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, 32):
+            e = min(s + 32, n)
+            for c in range(s, n, 4096):
+                cols = slice(c, min(c + 4096, n))
+                a = acc[:e - s, :cols.stop - c]
+                b = sq[:e - s, :cols.stop - c]
+                np.subtract(coords[0, s:e, None], coords[0, None, cols], out=a)
+                np.multiply(a, a, out=a)
+                for k in range(1, d):
+                    np.subtract(coords[k, s:e, None], coords[k, None, cols], out=b)
+                    np.multiply(b, b, out=b)
+                    a += b
+                best = np.maximum(best, a.max())
     return float(np.sqrt(best))
 
 
@@ -198,7 +217,7 @@ def _off_line_ends(points):
     if points.shape[0] < 3:
         return keep
     lead, last = points[:, :-1], points[:, -1]
-    same = np.all(lead[1:] == lead[:-1], axis=1)
+    same = row_all_eq(lead[1:], lead[:-1])
     prev, mid, nxt = last[:-2], last[1:-1], last[2:]
     inside = same[:-1] & same[1:] & (np.minimum(prev, nxt) < mid) & (mid < np.maximum(prev, nxt))
     keep[1:-1] = ~inside
@@ -208,24 +227,32 @@ def _off_line_ends(points):
 def diameter(point_set):
     """Max pairwise distance of the rows of an (n, d) array; 0 for n <= 1.
 
-    Up to _DIRECT_DIAMETER_MAX rows it is pdist's maximum.  Larger sets are
-    reduced to convex hull vertices first, after an isometric projection
-    onto the affine span so degenerate sets keep their hull.  Distances are
-    then measured in the projected coordinates, whose rounding depends on
-    the whole set (its row order and repeats too), so the result can differ
+    Rows that lie strictly inside the segment between their two neighbours
+    are dropped first (see _off_line_ends).  Up to _DIRECT_DIAMETER_MAX
+    rows the result is _pairwise_max of the kept rows, which equals scipy's
+    pdist(points).max() on all rows bit for bit, without loading scipy: a
+    dropped row shares its leading coordinates with the least and greatest
+    row of its run, so its rounded partial sum over them is the same, and
+    the rounded last term grows with the distance along the last axis, so
+    no dropped row is farther from any row than one of those two.
+
+    Larger sets are reduced to convex hull vertices (scipy.spatial's
+    ConvexHull, the only scipy this loads), after an isometric projection
+    onto the affine span so degenerate sets keep their hull; no dropped row
+    is a hull vertex, so the hull is unchanged.  Distances are then
+    measured in the projected coordinates, whose rounding depends on the
+    whole set (its row order and repeats too), so the result can differ
     from pdist's maximum by a few ulps (up to 6.0e-16 relative where
-    measured).  Before the hull, rows that lie strictly inside the segment
-    between their two neighbours are dropped (see _off_line_ends): no such
-    row is a hull vertex, so the hull is unchanged.  The projection is still
-    computed on the full set, so every kept row's coordinates, and hence the
-    result, are those of the unreduced route.
+    measured).  The projection is computed on the full set, so every kept
+    row's coordinates, and hence the result, are those of the unreduced
+    route.
     """
     pts = np.atleast_2d(np.asarray(point_set, dtype=float))
     n = pts.shape[0]
     if n <= 1:
         return 0.0
     if n <= _DIRECT_DIAMETER_MAX:
-        return _pairwise_max(pts)
+        return _pairwise_max(pts[_off_line_ends(pts)])
     mean = pts.mean(axis=0)
     centered = pts - mean
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
@@ -328,16 +355,22 @@ def perturb(problem: VectorProblem, amplitude, center, direction) -> VectorProbl
     objective.
 
     The direction must be strictly interior to the ordering cone, so the
-    perturbation moves images up the order.
+    perturbation moves images up the order.  The amplitude, center and
+    direction must be finite: otherwise every image, or the image at the
+    center (0 * inf), is NaN or inf.
     """
-    if not amplitude >= 0:  # NaN too
-        raise InputError("amplitude must be >= 0")
+    if not 0 <= amplitude < np.inf:  # NaN too
+        raise InputError("amplitude must be >= 0 and finite")
     center = np.array(center, dtype=float).reshape(-1)
     direction = np.array(direction, dtype=float).reshape(-1)
     if center.shape != (problem.decision_dim,):
         raise InputError("perturbation center dimension mismatch")
     if direction.shape != (problem.objective_dim,):
         raise InputError("perturbation direction dimension mismatch")
+    if not np.all(np.isfinite(center)):
+        raise InputError("perturbation center must be finite")
+    if not np.all(np.isfinite(direction)):
+        raise InputError("perturbation direction must be finite")
     if not problem.cone.contains(direction, strict=True):
         raise NotInteriorPoint("perturbation direction must be strictly interior to the cone")
     center.setflags(write=False)
@@ -347,7 +380,7 @@ def perturb(problem: VectorProblem, amplitude, center, direction) -> VectorProbl
 
     def shifted(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(pts - center[None, :], axis=1)
+        r = row_norm(pts - center[None, :])
         return np.asarray(base(pts), dtype=float) + (a * r)[:, None] * direction[None, :]
 
     return replace(problem, label=problem.label + "+pert", evaluator=shifted)
@@ -446,7 +479,7 @@ def _difference_norms(p, q, points):
         fv = fv[:, None]
     if gv.ndim == 1:
         gv = gv[:, None]
-    return np.linalg.norm(fv - gv, axis=1)
+    return row_norm(fv - gv)
 
 
 def _ball_battery(box: Box, anchor, radius):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial.distance import cdist
 
 
 def orthant_distance(y):
@@ -124,3 +125,17 @@ def correctly_rounded_power(x, k):
     """x**k for an integer k, rounded once: Fraction is exact and its
     conversion to float rounds to nearest."""
     return float(Fraction(float(x)) ** int(k))
+
+
+def span_coords(points):
+    """The coordinates diameter's hull route measures in: about the mean, in
+    the SVD basis of the affine span (the same steps as problem.diameter)."""
+    centered = points - points.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    rank = int(np.sum(s > max(s[0], 1.0) * 1e-12))
+    return centered @ vt[:rank].T
+
+
+def brute_max_distance(points):
+    """pdist(points).max() in blocks: cdist and pdist share one distance kernel."""
+    return max(float(cdist(points[s:s + 512], points).max()) for s in range(0, len(points), 512))

@@ -26,7 +26,7 @@ def test_import_loads_no_scipy_or_yaml():
     assert _loaded_after("import wellposed") == []
 
 
-# every README command but replicate, with a line its report must hold
+# every README command, with a line its report must hold
 README_COMMANDS = [
     (["classify", "--problem", "biquad", "--point", "0.3"], "record=classification"),
     (["distance", "--problem", "quad-pair", "--y", "1,1"], "record=oriented-distance"),
@@ -39,6 +39,7 @@ README_COMMANDS = [
      "record=regularization-certificate"),
     (["pipeline", "--problem", "x-x2", "--sigma", "0.1"], "record=pipeline-certificate"),
     (["probe", "--problem", "quad-pair,x-minus-xex", "--sigma", "0.5"], "record=probe-summary"),
+    (["replicate", "--problem", "hilbert-truncation-4"], "record=replicate"),
 ]
 
 

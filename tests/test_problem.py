@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import pdist
 
 from wellposed import (
     Box,
@@ -29,7 +29,7 @@ from wellposed.problem import (
     _off_line_ends,
 )
 
-from oracles import metric_series
+from oracles import brute_max_distance, metric_series, span_coords
 
 
 def vec_problem(fn, m, lower, upper, label="p", cone=None):
@@ -112,20 +112,6 @@ def test_diameter_dense_cloud_matches_hull_route():
     cloud = rng.normal(size=(5000, 2))
     far = np.linalg.norm(cloud[:, None, :2] - cloud[None, :500, :2], axis=2).max()
     assert diameter(cloud) >= far - 1e-12
-
-
-def span_coords(points):
-    """The coordinates diameter's hull route measures in: about the mean, in
-    the SVD basis of the affine span (the same steps as problem.diameter)."""
-    centered = points - points.mean(axis=0)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(s > max(s[0], 1.0) * 1e-12))
-    return centered @ vt[:rank].T
-
-
-def brute_max_distance(points):
-    """pdist(points).max() in blocks: cdist and pdist share one distance kernel."""
-    return max(float(cdist(points[s:s + 512], points).max()) for s in range(0, len(points), 512))
 
 
 def assert_endpoint_reduction_exact(monkeypatch, points, brute=True):
@@ -230,6 +216,13 @@ def test_perturbation_moves_along_interior():
     ((0.5, [0.0, 0.0], [1.0, 1.0]), InputError, "center dimension mismatch"),
     ((0.5, [0.0], [1.0, 1.0, 1.0]), InputError, "direction dimension mismatch"),
     ((0.5, [0.0], [1.0, 0.0]), NotInteriorPoint, "strictly interior"),
+    # a non-finite center makes every image NaN or inf, and a non-finite
+    # amplitude or direction the image at the center (0 * inf); only a later
+    # scan would fail on them
+    ((1.0, [np.nan], [1.0, 1.0]), InputError, "center must be finite"),
+    ((1.0, [np.inf], [1.0, 1.0]), InputError, "center must be finite"),
+    ((1.0, [0.0], [np.inf, 1.0]), InputError, "direction must be finite"),
+    ((np.inf, [0.0], [1.0, 1.0]), InputError, "amplitude must be >= 0 and finite"),
 ])
 def test_perturb_refuses_bad_terms(args, error, message):
     with pytest.raises(error, match=message):
