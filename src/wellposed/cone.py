@@ -42,7 +42,8 @@ DUAL_VALIDITY_TOL = 1e-7
 
 
 def _as_matrix(vectors, ambient_dim, what):
-    arr = np.atleast_2d(np.asarray(vectors, dtype=float))
+    # a C-ordered copy: the cone freezes its arrays, never the caller's
+    arr = np.atleast_2d(np.array(vectors, dtype=float, order="C"))
     if arr.ndim != 2 or arr.shape[1] != ambient_dim:
         raise InputError(f"{what}: expected vectors of length {ambient_dim}, got shape {arr.shape}")
     if arr.shape[0] == 0:
@@ -149,9 +150,9 @@ class OrderingCone:
         norms = np.linalg.norm(gens, axis=1)
         if np.any(norms <= self.tol):
             raise InputError("generators must be nonzero")
+        object.__setattr__(self, "generators", gens)
 
-        unit = gens / norms[:, None]
-        s = unit.sum(axis=0)
+        s = self.unit_generators.sum(axis=0)
         sn = np.linalg.norm(s)
         # Gordan's alternative: a functional positive on every generator
         # rules out a line in the cone, so the LP is only needed without one.
@@ -186,7 +187,7 @@ class OrderingCone:
                 raise ConeValidationError("generator sum vanished; cone cannot be solid")
             k0 = s / sn
         else:
-            k0 = np.asarray(self.k0, dtype=float).reshape(-1)
+            k0 = np.array(self.k0, dtype=float).reshape(-1)
             if k0.shape != (m,):
                 raise InputError(f"k0 must have length {m}")
 
@@ -227,6 +228,13 @@ class OrderingCone:
     # -- dual objects ----------------------------------------------------
 
     @cached_property
+    def unit_generators(self):
+        """The generators scaled to unit length, read-only."""
+        unit = self.generators / np.linalg.norm(self.generators, axis=1)[:, None]
+        unit.setflags(write=False)
+        return unit
+
+    @cached_property
     def dual_face_supports(self):
         """Index tuples of at most m-1 dual generators lying in a proper face of C*.
 
@@ -236,8 +244,7 @@ class OrderingCone:
         face exactly when one primal generator is orthogonal to all of them.
         Sorted by size, then lexicographically.
         """
-        unit = self.generators / np.linalg.norm(self.generators, axis=1)[:, None]
-        orthogonal = np.abs(unit @ self.dual_generators.T) <= DUAL_VALIDITY_TOL
+        orthogonal = np.abs(self.unit_generators @ self.dual_generators.T) <= DUAL_VALIDITY_TOL
         supports = set()
         for row in orthogonal:
             members = np.flatnonzero(row).tolist()
@@ -256,11 +263,10 @@ class OrderingCone:
         Self-inverse up to generator scaling: the dual's dual generators are
         this cone's generators, normalized.
         """
-        gens = self.generators / np.linalg.norm(self.generators, axis=1)[:, None]
         return OrderingCone(
             ambient_dim=self.ambient_dim,
             generators=np.array(self.dual_generators),
-            dual_generators=gens,
+            dual_generators=self.unit_generators,
         )
 
     def base_polytope(self, k0=None):
@@ -288,11 +294,14 @@ class OrderingCone:
         vertices (which would repeat the generators). The weights are taken
         at evenly spaced positions of the lattice's lexicographic order,
         which lists the face lambda_0 = 0 first, so a prefix would miss the
-        rest of C*; k is raised until enough combinations clear the norm
-        tolerance. A support functional maximized on a proper face of C*
-        picks up a linear penalty the moment a sample leaves that face, so
-        the arcs need their own dense coverage; interior maxima are flat to
-        first order and tolerate coarser spacing.
+        rest of C*. A combination equal to a row already taken is dropped
+        before the pick (for f = 2 an odd arc grid and an even k both hold
+        the weight (1/2, 1/2)), and k is raised until enough combinations
+        clear the norm tolerance and that test. A support functional
+        maximized on a proper face of C* picks up a linear penalty the
+        moment a sample leaves that face, so the arcs need their own dense
+        coverage; interior maxima are flat to first order and tolerate
+        coarser spacing.
         """
         if n < 1:
             raise InputError("n must be >= 1")
@@ -317,25 +326,27 @@ class OrderingCone:
             k = 1
             while math.comb(k + f - 1, f - 1) < want + f:
                 k += 1
+            taken = {tuple(r) for r in np.array(rows).tolist()}
             while True:
                 lam = simplex_lattice(f, k)
                 combos = lam[lam.max(axis=1) < 1.0] @ gens
                 norms = np.linalg.norm(combos, axis=1)
                 ok = norms > self.tol
-                if np.count_nonzero(ok) >= want:
+                units = combos[ok] / norms[ok, None]
+                fresh = [tuple(u) not in taken for u in units.tolist()]
+                units = units[np.array(fresh, dtype=bool)]
+                if units.shape[0] >= want:
                     break
                 k += 1
-            units = combos[ok] / norms[ok, None]
             rows.extend(units[np.linspace(0, units.shape[0] - 1, want).round().astype(int)])
         return np.array(rows)
 
     def interior_direction_battery(self):
         """Strictly interior unit directions: k0 plus each generator mixed
         into the normalized generator sum (0.9/0.1), deduplicated."""
-        unit = self.generators / np.linalg.norm(self.generators, axis=1)[:, None]
-        s = unit.sum(axis=0)
+        s = self.unit_generators.sum(axis=0)
         s = s / np.linalg.norm(s)
-        mixed = 0.9 * s[None, :] + 0.1 * unit
+        mixed = 0.9 * s[None, :] + 0.1 * self.unit_generators
         mixed = mixed / np.linalg.norm(mixed, axis=1)[:, None]
         rows = _dedupe_unit_rows(list(np.vstack([self.k0[None, :], mixed])), 1e-9)
         return rows

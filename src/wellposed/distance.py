@@ -88,8 +88,7 @@ def _dual_projections(cone: OrderingCone, points):
     """
     duals = cone.dual_generators  # (f, m)
     base = max(cone.tol, 1e-10)
-    unit = cone.generators / np.linalg.norm(cone.generators, axis=1)[:, None]
-    low = row_min(points @ unit.T)
+    low = row_min(points @ cone.unit_generators.T)
     in_dual = low >= -base
     # only the rows outside C* at the base tolerance need their norms
     rest = np.flatnonzero(~in_dual)

@@ -58,10 +58,24 @@ def _tokenize(text):
 
 # A compiled node is either a float64 constant or a closure over the points;
 # _un and _bin apply f to nodes, folding when every operand is a constant.
+# A closure other than a variable returns a new array that only its parent
+# reads, so the parent writes its result over it, as NumPy does for the
+# temporaries of an operator expression: an elementwise ufunc gives the
+# same bits into any output, and a scan touches less memory.
+def _owned(node):
+    return not isinstance(node, np.float64) and not getattr(node, "is_view", False)
+
+
+def _into(f, *operands, dest):
+    return f(*operands, out=operands[dest])
+
+
 def _un(node, f):
     if isinstance(node, np.float64):
         with np.errstate(all="ignore"):
             return np.float64(f(node))
+    if _owned(node):
+        return lambda p: _into(f, node(p), dest=0)
     return lambda p: f(node(p))
 
 
@@ -70,11 +84,20 @@ def _bin(a, b, f):
     if const_a and const_b:
         with np.errstate(all="ignore"):
             return np.float64(f(a, b))
-    if const_a:
-        return lambda p: f(a, b(p))
-    if const_b:
-        return lambda p: f(a(p), b)
-    return lambda p: f(a(p), b(p))
+    ea = (lambda p: a) if const_a else a
+    eb = (lambda p: b) if const_b else b
+    if _owned(a) or _owned(b):
+        dest = 0 if _owned(a) else 1
+        return lambda p: _into(f, ea(p), eb(p), dest=dest)
+    return lambda p: f(ea(p), eb(p))
+
+
+def _column(j):
+    def column(p):
+        return p[:, j]
+
+    column.is_view = True  # a view of the points: never written over
+    return column
 
 
 class _Parser:
@@ -169,14 +192,14 @@ class _Parser:
 
     def variable(self, name):
         if name == "x" and self.dim == 1:
-            return lambda p: p[:, 0]
+            return _column(0)
         m = re.fullmatch(r"x([1-9]\d*)", name)
         if m is None:
             raise ConfigError(f"unknown name {name!r} (variables are x1..x{self.dim})")
         j = int(m.group(1))
         if not 1 <= j <= self.dim:
             raise ConfigError(f"variable {name!r} out of range for decision_dim {self.dim}")
-        return lambda p: p[:, j - 1]
+        return _column(j - 1)
 
 
 def parse_expression(text, decision_dim):
@@ -191,7 +214,7 @@ def parse_expression(text, decision_dim):
 
     def ev(points):
         with np.errstate(all="ignore"):
-            return node(points)
+            return node(np.asarray(points, dtype=float))
 
     return ev
 

@@ -1,5 +1,9 @@
 """Built-in benchmark problems with worked-out classification facts.
 
+Each entry's problem is a problem-file mapping, with the fields of a
+--config YAML file, built by config.problem_from_mapping: registry and
+config problems share one construction path and one expression compiler.
+
 Each entry records what the classifier should report at specific points,
 at the entry's stated lattice resolution, together with how the fact was
 obtained: "direct" facts are immediate from the formula, "derived" facts
@@ -14,11 +18,12 @@ stays bounded below under domain expansion (the pipeline's gate).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .cone import OrderingCone, orthant
+from .config import problem_from_mapping
 from .diagnostics import NOT_WELL_POSED, WELL_POSED
 from .errors import InputError
 from .problem import Box, ScalarProblem, VectorProblem, diameter
@@ -53,121 +58,22 @@ class RegistryEntry:
     note: str = ""
 
 
-def _box1(lo=-1.0, hi=1.0):
-    return Box((lo,), (hi,))
+# dual generators given, so that their order is the identity's, as in orthant(2)
+_ORTHANT = {"generators": [[1.0, 0.0], [0.0, 1.0]], "dual_generators": [[1.0, 0.0], [0.0, 1.0]]}
 
 
-def _box2(lo=-1.0, hi=1.0):
-    return Box((lo, lo), (hi, hi))
-
-
-# evaluators at module level so problems rebuild identically
-
-def _f_zero(X):
-    return np.zeros((X.shape[0], 2))
-
-
-def _f_x_minus_x(X):
-    x = X[:, 0]
-    return np.stack([x, -x], axis=1)
-
-
-def _f_quad_pair(X):
-    x = X[:, 0]
-    return np.stack([x * x, x * x], axis=1)
-
-
-def _f_x_x2(X):
-    x = X[:, 0]
-    return np.stack([x, x * x], axis=1)
-
-
-def _f_x_minus_xex(X):
-    x = X[:, 0]
-    return np.stack([x, -x * np.exp(x)], axis=1)
-
-
-def _f_biquad(X):
-    x = X[:, 0]
-    return np.stack([x ** 4, (x - 1.0) ** 4], axis=1)
-
-
-def _f_abs_pair(X):
-    x = X[:, 0]
-    return np.stack([np.abs(x - 0.3), np.abs(x + 0.5)], axis=1)
-
-
-def _f_exp_linear(X):
-    x = X[:, 0]
-    return np.stack([np.exp(x), -x], axis=1)
-
-
-def _f_quad_2d(X):
-    x1, x2 = X[:, 0], X[:, 1]
-    return np.stack([x1 * x1 + x2 * x2, (x1 - 1.0) ** 2 + x2 * x2], axis=1)
-
-
-def _f_skew_quad(X):
-    t = X[:, 0] - 0.5
-    return np.stack([t * t, t * t + t], axis=1)
-
-
-def _f_hilbert2(X):
-    x1, x2 = X[:, 0], X[:, 1]
-    return np.stack([x1 * x1, x2 * x2 / 4.0], axis=1)
-
-
-def build_zero_function():
-    return VectorProblem("zero-function", 1, 2, _f_zero, _box1(), orthant(2))
-
-
-def build_x_minus_x():
-    return VectorProblem("x-minus-x", 1, 2, _f_x_minus_x, _box1(), orthant(2))
-
-
-def build_quad_pair():
-    return VectorProblem("quad-pair", 1, 2, _f_quad_pair, _box1(), orthant(2))
-
-
-def build_x_x2():
-    return VectorProblem("x-x2", 1, 2, _f_x_x2, _box1(-3.0, 3.0), orthant(2))
-
-
-def build_x_minus_xex():
-    return VectorProblem("x-minus-xex", 1, 2, _f_x_minus_xex, _box1(-3.0, 3.0), orthant(2))
-
-
-def build_biquad():
-    return VectorProblem("biquad", 1, 2, _f_biquad, _box1(), orthant(2))
-
-
-def build_abs_pair():
-    return VectorProblem("abs-pair", 1, 2, _f_abs_pair, _box1(), orthant(2))
-
-
-def build_exp_linear():
-    return VectorProblem("exp-linear", 1, 2, _f_exp_linear, _box1(), orthant(2))
-
-
-def build_quad_2d():
-    return VectorProblem("quad-2d", 2, 2, _f_quad_2d, _box2(), orthant(2))
-
-
-def build_skew_cone_quad():
-    cone = OrderingCone(2, np.array([[1.0, 0.0], [1.0, 2.0]]))
-    return VectorProblem("skew-cone-quad", 1, 2, _f_skew_quad, _box1(), cone)
-
-
-def build_hilbert_truncation_2():
-    return VectorProblem("hilbert-truncation-2", 2, 2, _f_hilbert2, _box2(), orthant(2))
+def _entry(problem, **facts):
+    """A registry entry whose problem is built from its problem-file mapping."""
+    return RegistryEntry(label=problem["label"], build=partial(problem_from_mapping, problem),
+                         **facts)
 
 
 _Y, _N, _I = "yes", "no", "inconclusive"
 
 ENTRIES = (
-    RegistryEntry(
-        label="zero-function",
-        build=build_zero_function,
+    _entry(
+        {"label": "zero-function", "decision_dim": 1, "objective_dim": 2, "cone": _ORTHANT,
+         "domain": {"lower": [-1.0], "upper": [1.0]}, "objective": ["0", "0"]},
         designated=(0.0,),
         expectations=(
             ExpectedStatus((0.0,), _Y, _Y, _N, "direct"),
@@ -178,9 +84,9 @@ ENTRIES = (
         resolution=201, dh_depth=20,
         note="constant image: everything efficient, nothing strictly; level sets never shrink",
     ),
-    RegistryEntry(
-        label="x-minus-x",
-        build=build_x_minus_x,
+    _entry(
+        {"label": "x-minus-x", "decision_dim": 1, "objective_dim": 2, "cone": _ORTHANT,
+         "domain": {"lower": [-1.0], "upper": [1.0]}, "objective": ["x", "-x"]},
         designated=(0.0,),
         expectations=(
             ExpectedStatus((0.0,), _Y, _Y, _Y, "derived"),
@@ -191,9 +97,9 @@ ENTRIES = (
         resolution=201, dh_depth=20,
         note="antisymmetric pair; bounded only through the mid-base functional",
     ),
-    RegistryEntry(
-        label="quad-pair",
-        build=build_quad_pair,
+    _entry(
+        {"label": "quad-pair", "decision_dim": 1, "objective_dim": 2, "cone": _ORTHANT,
+         "domain": {"lower": [-1.0], "upper": [1.0]}, "objective": ["x*x", "x*x"]},
         designated=(0.0,),
         expectations=(
             ExpectedStatus((0.0,), _Y, _Y, _Y, "derived"),
@@ -204,9 +110,9 @@ ENTRIES = (
         resolution=201, dh_depth=20,
         note="duplicated parabola; unique minimizer at 0",
     ),
-    RegistryEntry(
-        label="x-x2",
-        build=build_x_x2,
+    _entry(
+        {"label": "x-x2", "decision_dim": 1, "objective_dim": 2, "cone": _ORTHANT,
+         "domain": {"lower": [-3.0], "upper": [3.0]}, "objective": ["x", "x*x"]},
         designated=(0.0,),
         expectations=(
             ExpectedStatus((0.0,), _Y, _Y, _Y, "derived"),
@@ -218,9 +124,9 @@ ENTRIES = (
         resolution=201, dh_depth=20,
         note="linear-quadratic trade-off; efficient exactly on [-3, 0]",
     ),
-    RegistryEntry(
-        label="x-minus-xex",
-        build=build_x_minus_xex,
+    _entry(
+        {"label": "x-minus-xex", "decision_dim": 1, "objective_dim": 2, "cone": _ORTHANT,
+         "domain": {"lower": [-3.0], "upper": [3.0]}, "objective": ["x", "-x*exp(x)"]},
         designated=(0.0,),
         expectations=(
             ExpectedStatus((0.0,), _Y, _Y, _Y, "derived"),
@@ -233,9 +139,9 @@ ENTRIES = (
         note="x*exp(x) ridge: every base scalarization diverges under expansion; "
              "points left of 0 are dominated from deep in the tail",
     ),
-    RegistryEntry(
-        label="biquad",
-        build=build_biquad,
+    _entry(
+        {"label": "biquad", "decision_dim": 1, "objective_dim": 2, "cone": _ORTHANT,
+         "domain": {"lower": [-1.0], "upper": [1.0]}, "objective": ["x^4", "(x-1)^4"]},
         designated=(0.0,),
         expectations=(
             ExpectedStatus((0.0,), _Y, _Y, _I, "derived"),
@@ -247,9 +153,9 @@ ENTRIES = (
         note="quartic pair; at 0 the image flattens so hard the delta grid cannot "
              "certify strictness at the finest epsilon (lattice-resolution artifact)",
     ),
-    RegistryEntry(
-        label="abs-pair",
-        build=build_abs_pair,
+    _entry(
+        {"label": "abs-pair", "decision_dim": 1, "objective_dim": 2, "cone": _ORTHANT,
+         "domain": {"lower": [-1.0], "upper": [1.0]}, "objective": ["abs(x-0.3)", "abs(x+0.5)"]},
         designated=(0.3,),
         expectations=(
             ExpectedStatus((0.3,), _Y, _Y, _Y, "derived"),
@@ -261,9 +167,9 @@ ENTRIES = (
         resolution=201, dh_depth=20,
         note="two kinks; efficient exactly on [-0.5, 0.3]",
     ),
-    RegistryEntry(
-        label="exp-linear",
-        build=build_exp_linear,
+    _entry(
+        {"label": "exp-linear", "decision_dim": 1, "objective_dim": 2, "cone": _ORTHANT,
+         "domain": {"lower": [-1.0], "upper": [1.0]}, "objective": ["exp(x)", "-x"]},
         designated=(-0.5,),
         expectations=(
             ExpectedStatus((-0.5,), _Y, _Y, _Y, "derived"),
@@ -275,9 +181,10 @@ ENTRIES = (
         note="strictly monotone trade-off: the whole box is efficient; vertex "
              "functionals diverge but the mid-base one is bounded",
     ),
-    RegistryEntry(
-        label="quad-2d",
-        build=build_quad_2d,
+    _entry(
+        {"label": "quad-2d", "decision_dim": 2, "objective_dim": 2,
+         "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, "cone": _ORTHANT,
+         "objective": ["x1*x1 + x2*x2", "(x1-1)^2 + x2*x2"]},
         designated=(0.0, 0.0),
         expectations=(
             ExpectedStatus((0.0, 0.0), _Y, _Y, _Y, "derived"),
@@ -289,9 +196,11 @@ ENTRIES = (
         resolution=201, dh_depth=20,
         note="two shifted paraboloids; efficient on the segment joining the centers",
     ),
-    RegistryEntry(
-        label="skew-cone-quad",
-        build=build_skew_cone_quad,
+    _entry(
+        {"label": "skew-cone-quad", "decision_dim": 1, "objective_dim": 2,
+         "domain": {"lower": [-1.0], "upper": [1.0]},
+         "cone": {"generators": [[1.0, 0.0], [1.0, 2.0]]},
+         "objective": ["(x-0.5)*(x-0.5)", "(x-0.5)*(x-0.5) + (x-0.5)"]},
         designated=(0.5,),
         expectations=(
             ExpectedStatus((0.5,), _Y, _Y, _Y, "derived"),
@@ -303,9 +212,10 @@ ENTRIES = (
         note="non-orthant cone spanned by (1,0) and (1,2); the two facet margins "
              "pinch the level sets from opposite sides",
     ),
-    RegistryEntry(
-        label="hilbert-truncation-2",
-        build=build_hilbert_truncation_2,
+    _entry(
+        {"label": "hilbert-truncation-2", "decision_dim": 2, "objective_dim": 2,
+         "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, "cone": _ORTHANT,
+         "objective": ["x1*x1", "x2*x2/4"]},
         designated=(0.0, 0.0),
         expectations=(
             ExpectedStatus((0.0, 0.0), _Y, _Y, _Y, "derived"),

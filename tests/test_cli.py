@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wellposed import registry
 from wellposed.cli import RunConfig, build_parser, format_records, main, replicate, run
 
 CONFIG_TEXT = (
@@ -227,6 +228,16 @@ def test_replicate_subcommand_exit_codes(tmp_path):
     code, text = run_cli(tmp_path, "replicate", "--problem", "x-minus-x")
     assert code == 0
     assert "all_passed=true" in text
+
+
+def test_replicate_every_registry_problem(tmp_path):
+    labels = registry.labels() + ("hilbert-truncation-4", "hilbert-truncation-8")
+    code, text = run_cli(tmp_path, "replicate", "--problem", ",".join(labels))
+    assert code == 0
+    records = parse_records(text)
+    assert all(r["passed"] == "true" for r in records if r.get("record") == "assertion")
+    # a level-diameter check leaves a numpy bool in the summary, printed "True"
+    assert records[-1] == {"record": "replicate-summary", "all_passed": "True"}
 
 
 def test_replicate_refuses_grid(tmp_path):

@@ -207,6 +207,31 @@ def test_sampled_duals_nonnegative_on_generators(n, m):
     assert (xs @ c.generators.T).min() >= -c.tol
 
 
+def test_cone_freezes_copies_not_the_callers_arrays():
+    g, d, k0 = np.eye(2), np.eye(2), np.array([1.0, 1.0])
+    c = OrderingCone(2, g, dual_generators=d, k0=k0)
+    assert g.flags.writeable and d.flags.writeable and k0.flags.writeable
+    for arr in (c.generators, c.dual_generators, c.k0, c.unit_generators):
+        assert not arr.flags.writeable
+
+
+def test_unit_generators_are_the_normalized_generators():
+    c = OrderingCone(2, [[3.0, 0.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(
+        c.unit_generators, c.generators / np.linalg.norm(c.generators, axis=1)[:, None])
+    assert c.unit_generators is c.unit_generators
+
+
+def test_sample_dual_sphere_rows_are_distinct():
+    # the arc midpoint of a dual generator pair is the lattice weight with two
+    # halves: for f = 2 and n = 8 it used to appear twice among 8 rows
+    cones = [orthant(m) for m in (2, 3, 4)] + [OrderingCone(2, [[1.0, 0.0], [1.0, 2.0]])]
+    for c in cones:
+        for n in (8, 64, 2048):
+            xs = c.sample_dual_sphere(n)
+            assert np.unique(xs, axis=0).shape[0] == n, (c.generators.tolist(), n)
+
+
 def test_sample_dual_sphere_of_a_ray_repeats_its_dual_generator():
     np.testing.assert_array_equal(orthant(1).sample_dual_sphere(5), np.ones((5, 1)))
 

@@ -175,6 +175,19 @@ def test_functions_of_constants_evaluate():
     np.testing.assert_array_equal(ev("abs(-2)*x2", xs, dim=2), [-8.0, 4.0])
 
 
+def test_intermediates_are_overwritten_but_never_the_points():
+    xs = np.random.default_rng(5).normal(size=(1000, 2))
+    before = xs.copy()
+    x1, x2 = xs[:, 0], xs[:, 1]
+    cases = [("x1", x1), ("-x1", -x1), ("1 - x2", 1 - x2), ("x1*x2 + x2", x1 * x2 + x2),
+             ("2 / (x1 + 1)", 2 / (x1 + 1)), ("-exp(x1)*abs(x2 - 0.5)", -np.exp(x1) * abs(x2 - 0.5)),
+             ("(x1-1)^2 + x2^3", (x1 - 1) ** 2 + x2 ** 3),
+             ("norm(x1, x2, 1)", np.sqrt(x1 ** 2 + x2 ** 2 + 1.0))]
+    for text, want in cases:
+        assert bits(ev(text, xs, dim=2)).tobytes() == bits(want).tobytes(), text
+    assert xs.tobytes() == before.tobytes()
+
+
 # each expression, then the same expression reading its literals from the
 # point columns x2.. so nothing in it can be folded, then those literals
 UNFOLDED_PAIRS = [

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,12 +20,15 @@ from wellposed import (
     dh_sufficient_linear,
     dh_via_scalarization,
     geometric_schedule,
+    load_problem,
     orthant,
     problem_from_mapping,
+    registry,
     scalarize_linear,
     tykhonov_diagnostic,
     weff_via_distance,
 )
+from wellposed import diagnostics as diagnostics_module
 from wellposed.diagnostics import DECAY_RATIO, DEFAULT_ALPHA_SCHEDULE, TOL_ABS, _nested_members
 from wellposed.problem import LATTICE_CAP
 
@@ -377,3 +382,21 @@ def test_nested_walk_equals_the_per_level_test(m, data):
     want = [np.flatnonzero(values <= inf + off) for off in schedule]
     assert_same_levels(
         list(_nested_members(values[:, None], (np.array([inf + off]) for off in schedule))), want)
+
+
+
+@pytest.mark.parametrize("label", registry.labels() + ("diagnose-3d",))
+def test_over_cap_level_set_route_matches_the_stored_margins(monkeypatch, label):
+    # the store path walks nested levels over kept margins; above the cap each
+    # level is its own level_set pass, and both must measure the same sets
+    if label == "diagnose-3d":
+        repo = Path(__file__).resolve().parents[1]
+        problem, x_bar = load_problem(repo / "bench" / "diagnose3d.yaml"), (0.0, 0.0, 0.0)
+    else:
+        problem, x_bar = registry.get(label).build(), registry.get(label).designated
+    stored = dh_diagnostic(problem, x_bar, grid_resolution=41)
+    monkeypatch.setattr(diagnostics_module, "LATTICE_CAP", 0)
+    passes = dh_diagnostic(problem, x_bar, grid_resolution=41)
+    np.testing.assert_array_equal(passes.counts, stored.counts)
+    assert passes.diam_curve.tobytes() == stored.diam_curve.tobytes()
+    assert passes.verdict == stored.verdict

@@ -114,6 +114,22 @@ def test_diameter_dense_cloud_matches_hull_route():
     assert diameter(cloud) >= far - 1e-12
 
 
+def test_diameter_of_many_identical_rows_is_zero():
+    # exactly representable rows: their mean, and so every centred row, is exact
+    pts = np.tile([0.5, -0.75, 3.0], (_DIRECT_DIAMETER_MAX + 1, 1))
+    assert span_coords(pts).shape[1] == 0
+    assert diameter(pts) == 0.0
+
+
+def test_diameter_of_many_collinear_rows_is_their_span_extent():
+    t = np.linspace(-1.0, 2.5, _DIRECT_DIAMETER_MAX + 7)[:, None]
+    pts = np.array([0.2, -1.0, 0.5]) + t * np.array([0.3, 1.7, -0.9])
+    coords = span_coords(pts)
+    assert coords.shape[1] == 1
+    assert diameter(pts) == float(coords.max() - coords.min())
+    assert diameter(pts) == pytest.approx(3.5 * np.linalg.norm([0.3, 1.7, -0.9]), rel=1e-14)
+
+
 def assert_endpoint_reduction_exact(monkeypatch, points, brute=True):
     got = diameter(points)
     with monkeypatch.context() as m:
