@@ -61,6 +61,17 @@ def _dedupe_unit_rows(rows, tol):
     return np.array(kept)
 
 
+def _fresh_rows(units, taken):
+    """The rows of units that are neither in taken nor equal to an earlier
+    row, in order; their tuples are added to taken."""
+    keep = []
+    for i, key in enumerate(map(tuple, units.tolist())):
+        if key not in taken:
+            taken.add(key)
+            keep.append(i)
+    return units[keep]
+
+
 def _enumerate_facet_normals(generators, tol):
     """Outward facet normals of -C (unit extreme rays of C*) by subset enumeration.
 
@@ -294,11 +305,13 @@ class OrderingCone:
         vertices (which would repeat the generators). The weights are taken
         at evenly spaced positions of the lattice's lexicographic order,
         which lists the face lambda_0 = 0 first, so a prefix would miss the
-        rest of C*. A combination equal to a row already taken is dropped
-        before the pick (for f = 2 an odd arc grid and an even k both hold
-        the weight (1/2, 1/2)), and k is raised until enough combinations
-        clear the norm tolerance and that test. A support functional
-        maximized on a proper face of C* picks up a linear penalty the
+        rest of C*. An arc row or combination equal to a row already taken
+        or to an earlier combination is dropped before the pick (for f = 2
+        an odd arc grid and an even k both hold the weight (1/2, 1/2); for
+        f > m arcs of different pairs can meet, and different weights can
+        give the same unit vector), and k is raised until enough
+        combinations clear the norm tolerance and that test. A support
+        functional maximized on a proper face of C* picks up a linear penalty the
         moment a sample leaves that face, so the arcs need their own dense
         coverage; interior maxima are flat to first order and tolerate
         coarser spacing.
@@ -310,6 +323,7 @@ class OrderingCone:
         if f == 1:  # a ray: C* meets the sphere in one point
             return np.repeat(gens, n, axis=0)
         rows = [g for g in gens]
+        taken = {tuple(g) for g in gens.tolist()}
         pairs = list(itertools.combinations(range(f), 2))
         if n > f:
             per = (n - len(rows)) // (2 * len(pairs))
@@ -320,21 +334,18 @@ class OrderingCone:
                 combos = t * gens[a] + (1.0 - t) * gens[b]
                 norms = np.linalg.norm(combos, axis=1)
                 ok = norms > self.tol
-                rows.extend(combos[ok] / norms[ok, None])
+                rows.extend(_fresh_rows(combos[ok] / norms[ok, None], taken))
         want = n - len(rows)
         if want > 0:
             k = 1
             while math.comb(k + f - 1, f - 1) < want + f:
                 k += 1
-            taken = {tuple(r) for r in np.array(rows).tolist()}
             while True:
                 lam = simplex_lattice(f, k)
                 combos = lam[lam.max(axis=1) < 1.0] @ gens
                 norms = np.linalg.norm(combos, axis=1)
                 ok = norms > self.tol
-                units = combos[ok] / norms[ok, None]
-                fresh = [tuple(u) not in taken for u in units.tolist()]
-                units = units[np.array(fresh, dtype=bool)]
+                units = _fresh_rows(combos[ok] / norms[ok, None], set(taken))
                 if units.shape[0] >= want:
                     break
                 k += 1

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rows import row_all_le, row_norm
-from .distance import oriented_distance_batch
+from ._rows import row_all_le, row_norm, row_sub
+from .distance import _oriented_distance_upto
 from .errors import HypothesisNotMet, InputError, NotInteriorPoint, WellposedError
 from .problem import (
     LATTICE_CAP,
@@ -110,7 +110,10 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> Effici
     delta, so only the smallest epsilon and delta can decide it: "no" with
     a witness when a point of {D <= cone.tol} lies farther than STRICT_EPS,
     else "inconclusive" when a point of {D <= STRICT_DELTA} does, else
-    "yes".
+    "yes".  D is at least the largest facet margin of f(x) - f(x_bar) less
+    a certificate tolerance, so only the points whose margin can reach
+    STRICT_DELTA are projected (distance._oriented_distance_upto), and a
+    NumericalFailure can come only from those points.
     A non-finite lattice image raises InputError.
     """
     x_bar, f_bar = finite_image(problem, x_bar)
@@ -132,11 +135,13 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> Effici
     for pts, _ in problem.domain.iter_lattice(grid_resolution):
         with np.errstate(over="ignore", invalid="ignore"):
             vals = lattice_image(problem, pts)
-            diff = vals - f_bar[None, :]
+            diff = row_sub(vals, f_bar)
             margins = cone.margins(-diff)  # membership margins of f_bar - f(x)
             sizes = row_norm(diff)
-            dvals = oriented_distance_batch(cone, diff)
-        dists = row_norm(pts - x_bar[None, :])
+            # exact where D <= STRICT_DELTA can hold, +inf elsewhere: the
+            # only values the containment tests below read
+            dvals = _oriented_distance_upto(cone, diff, STRICT_DELTA)
+        dists = row_norm(row_sub(pts, x_bar))
 
         dom = (margins >= -cone.tol) & (sizes > rtol)
         if dom.any() and "efficient" not in witnesses:

@@ -7,8 +7,14 @@ which single points and batches compute by one exact route at a tolerance
 relative to each row (_dual_projections); a row the route cannot certify
 raises NumericalFailure.  Inside, the distance to the complement is the
 smallest facet-hyperplane distance, so the value is the largest facet
-margin.  A sampled max over dual directions provides an always-below
-cross-check of the same quantity.
+margin.  Outside too the largest facet margin bounds the value from below:
+y - P_{C*}(y) = P_{-C}(y) lies in -C, so <xi, y> <= <xi, P_{C*}(y)> <=
+||P_{C*}(y)|| for every unit dual generator xi.  A caller that reads only
+the values up to some level therefore projects only the rows whose margin
+can reach it (_oriented_distance_upto).  Every row's value comes out of the
+same products whatever the batch holds, so one row alone, any subset of a
+batch and the whole batch give the same bits.  A sampled max over dual
+directions provides an always-below cross-check of the same quantity.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ def project_dual_cone(cone: OrderingCone, y):
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != (cone.ambient_dim,):
         raise InputError(f"expected vector of length {cone.ambient_dim}")
-    if np.all(cone.dual_generators @ y <= cone.tol):
+    if row_max(_many_row_product(y[None, :], cone.dual_generators.T))[0] <= cone.tol:
         return np.zeros(cone.ambient_dim)  # y in -C, the polar cone of C*
     return next(proj[0] for rows, proj in _dual_projections(cone, y[None, :]) if rows.size)
 
@@ -57,15 +63,14 @@ def oriented_distance(cone: OrderingCone, y) -> OrientedDistanceResult:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != (cone.ambient_dim,):
         raise InputError(f"expected vector of length {cone.ambient_dim}")
-    prods = cone.dual_generators @ y
-    top = prods.max()
-    if top > cone.tol:
-        q = project_dual_cone(cone, y)
-        return OrientedDistanceResult(float(np.linalg.norm(q)), y - q, None)
+    # the value of the one-row batch, which is the value of y in any batch
+    value = float(oriented_distance_batch(cone, y[None, :])[0])
+    prods = _many_row_product(y[None, :], cone.dual_generators.T)
+    if row_max(prods)[0] > cone.tol:
+        return OrientedDistanceResult(value, y - project_dual_cone(cone, y), None)
     # inside (or on the boundary of) -C: distance to the complement is the
     # nearest facet hyperplane; ties resolve to the smallest facet index
-    facet = int(np.argmax(prods))
-    return OrientedDistanceResult(float(top), y.copy(), facet)
+    return OrientedDistanceResult(value, y.copy(), int(np.argmax(prods[0])))
 
 
 def _many_row_product(a, b):
@@ -88,7 +93,7 @@ def _dual_projections(cone: OrderingCone, points):
     """
     duals = cone.dual_generators  # (f, m)
     base = max(cone.tol, 1e-10)
-    low = row_min(points @ cone.unit_generators.T)
+    low = row_min(_many_row_product(points, cone.unit_generators.T))
     in_dual = low >= -base
     # only the rows outside C* at the base tolerance need their norms
     rest = np.flatnonzero(~in_dual)
@@ -108,7 +113,7 @@ def _dual_projections(cone: OrderingCone, points):
         proj = _many_row_product(lam, duals[list(support)])  # (k, m)
         resid = rows - proj
         others = [j for j in range(duals.shape[0]) if j not in support]
-        ok &= row_all_le(resid @ duals[others].T, tol[:, None])
+        ok &= row_all_le(_many_row_product(resid, duals[others].T), tol[:, None])
         # KKT needs <p, y - p> = 0; the normal equations give it, but
         # rank-deficient subsets can slip through, so re-check cheaply
         ok &= np.abs(np.einsum("ij,ij->i", proj, resid)) <= 1e-7 * (1.0 + np.einsum("ij,ij->i", proj, proj))
@@ -124,12 +129,34 @@ def oriented_distance_batch(cone: OrderingCone, points):
     if pts.shape[1] != cone.ambient_dim:
         raise InputError(f"expected points of length {cone.ambient_dim}")
     # the largest facet margin inside -C, replaced by ||P_{C*}(y)|| outside
-    values = row_max(pts @ cone.dual_generators.T)
+    values = row_max(_many_row_product(pts, cone.dual_generators.T))
     outside = values > cone.tol
     norms = values[outside]
     for rows, proj in _dual_projections(cone, pts[outside]):
         norms[rows] = row_norm(proj)
     values[outside] = norms
+    return values
+
+
+def _oriented_distance_upto(cone: OrderingCone, points, level):
+    """oriented_distance_batch(cone, points) for an (n, m) float array, on
+    every row whose value can be at most level, and +inf on the other rows,
+    which are never projected.
+
+    The value of a row y is at least its largest facet margin less the
+    certificate tolerance tol = max(cone.tol, 1e-10) * max(1, ||y||) of
+    _dual_projections: inside -C the value is that margin, a row in C*
+    gets ||y||, which bounds every <xi, y> for unit xi, and a certified
+    projection p has <xi, y - p> <= tol for the dual generators outside
+    its support and a residual orthogonal to those inside it, so <xi, y>
+    <= ||p|| + tol.  A row whose margin exceeds level + 2 * tol therefore
+    has a value above level; the second tol absorbs rounding.
+    """
+    margins = row_max(_many_row_product(points, cone.dual_generators.T))
+    tol = max(cone.tol, 1e-10) * np.maximum(1.0, row_norm(points))
+    keep = ~(margins > level + 2.0 * tol)  # a NaN row keeps its NaN value
+    values = np.full(points.shape[0], np.inf)
+    values[keep] = oriented_distance_batch(cone, points[keep])
     return values
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rows import row_all_eq, row_norm
+from ._rows import row_all_eq, row_norm, row_sub
 from .cone import OrderingCone
 from .distance import oriented_distance_batch
 from .errors import InputError, NotInteriorPoint
@@ -444,7 +444,7 @@ def scalarize_oriented(problem: VectorProblem, x_bar) -> ScalarProblem:
         vals = np.asarray(base(np.atleast_2d(points)), dtype=float)
         if not np.isfinite(vals).all():
             raise InputError("objective must be finite on the lattice")
-        return oriented_distance_batch(cone, vals - f_bar[None, :])
+        return oriented_distance_batch(cone, row_sub(vals, f_bar))
 
     return ScalarProblem(problem.label + "|od", problem.decision_dim, ev, problem.domain)
 
@@ -464,7 +464,7 @@ def level_set(problem: VectorProblem, y, grid_resolution) -> np.ndarray:
         raise InputError("level vector dimension mismatch")
     box, cone = problem.domain, problem.cone
     mask = box.map_lattice(
-        grid_resolution, lambda pts: cone.contains_batch(y[None, :] - lattice_image(problem, pts)))
+        grid_resolution, lambda pts: cone.contains_batch(row_sub(y, lattice_image(problem, pts))))
     return box.lattice_points_at(grid_resolution, np.flatnonzero(mask))
 
 

@@ -232,6 +232,19 @@ def test_sample_dual_sphere_rows_are_distinct():
             assert np.unique(xs, axis=0).shape[0] == n, (c.generators.tolist(), n)
 
 
+def test_sample_dual_sphere_rows_are_distinct_with_more_duals_than_dimensions():
+    # with f > m dual generators, arcs of different generator pairs meet (the
+    # midpoints of a square cone's two diagonals) and different simplex
+    # weights give the same unit vector
+    square = OrderingCone(3, [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]])
+    diagnose3d = load_problem(DIAGNOSE3D).cone
+    for c in (square, diagnose3d):
+        for n in (8, 27, 64, 2048, 10_000):
+            xs = c.sample_dual_sphere(n)
+            assert xs.shape[0] == n
+            assert np.unique(xs, axis=0).shape[0] == n, (c.generators.tolist(), n)
+
+
 def test_sample_dual_sphere_of_a_ray_repeats_its_dual_generator():
     np.testing.assert_array_equal(orthant(1).sample_dual_sphere(5), np.ones((5, 1)))
 

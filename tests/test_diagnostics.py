@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from wellposed import (
     Box,
     HypothesisNotMet,
+    INCONCLUSIVE,
     InputError,
     NO,
     NOT_WELL_POSED,
@@ -21,6 +24,7 @@ from wellposed import (
     dh_via_scalarization,
     geometric_schedule,
     load_problem,
+    oriented_distance_batch,
     orthant,
     problem_from_mapping,
     registry,
@@ -29,10 +33,14 @@ from wellposed import (
     weff_via_distance,
 )
 from wellposed import diagnostics as diagnostics_module
-from wellposed.diagnostics import DECAY_RATIO, DEFAULT_ALPHA_SCHEDULE, TOL_ABS, _nested_members
+from wellposed.diagnostics import (
+    DECAY_RATIO, DEFAULT_ALPHA_SCHEDULE, STRICT_DELTA, TOL_ABS, _nested_members)
+from wellposed.distance import _oriented_distance_upto
 from wellposed.problem import LATTICE_CAP
 
 from oracles import orthant_dom_witness, orthant_weak_witness
+
+DIAGNOSE3D = Path(__file__).resolve().parents[1] / "bench" / "diagnose3d.yaml"
 
 
 def prob(fn, m, lower, upper, label="p"):
@@ -400,3 +408,108 @@ def test_over_cap_level_set_route_matches_the_stored_margins(monkeypatch, label)
     np.testing.assert_array_equal(passes.counts, stored.counts)
     assert passes.diam_curve.tobytes() == stored.diam_curve.tobytes()
     assert passes.verdict == stored.verdict
+
+
+# ---------------------------------------------------------------------------
+# strict efficiency reads D only up to STRICT_DELTA
+
+
+def _parabolas(c, second, cone):
+    """f(x) = (c x^2, second * c x^2) on [-1, 1]."""
+    return problem_from_mapping({
+        "label": "parabolas", "decision_dim": 1, "objective_dim": 2,
+        "domain": {"lower": [-1.0], "upper": [1.0]}, "cone": cone,
+        "objective": [f"{c!r} * x1^2", f"{second * c!r} * x1^2"]})
+
+
+ORTHANT_2 = {"generators": [[1.0, 0.0], [0.0, 1.0]]}
+SKEW_2 = {"generators": [[1.0, 0.0], [1.0, 2.0]]}
+
+
+@pytest.mark.parametrize("cone, second", [(ORTHANT_2, 1.0), (SKEW_2, -0.6)], ids=["orthant", "skew"])
+@pytest.mark.parametrize("c, strict", [(0.0, NO), (1e-4, INCONCLUSIVE), (1.0, YES)])
+def test_strict_efficiency_branches_at_the_delta_level(cone, second, c, strict):
+    # x_bar = 0 is efficient for every c >= 0; {D <= STRICT_DELTA} reaches
+    # past STRICT_EPS only while c is small, and {D <= cone.tol} only at c = 0
+    verdict = classify_point(_parabolas(c, second, cone), (0.0,), grid_resolution=201)
+    assert (verdict.efficient, verdict.weakly_efficient, verdict.strictly_efficient) == (
+        YES, YES, strict)
+
+
+def test_strict_band_rows_reach_the_face_support_stage():
+    # on the skew cone f(x) - f(0) lies outside -C and outside C* for x != 0:
+    # all 200 such rows need a face-support projection, and the 18 kept near
+    # STRICT_DELTA still get theirs, with the full batch's values
+    problem = _parabolas(1e-4, -0.6, SKEW_2)
+    cone = problem.cone
+    diff = problem.domain.map_lattice(201, problem.evaluate)  # f(0) = 0
+    values = _oriented_distance_upto(cone, diff, STRICT_DELTA)
+    kept = np.isfinite(values)
+    face = ((diff @ cone.dual_generators.T).max(axis=1) > cone.tol) & (
+        (diff @ cone.unit_generators.T).min(axis=1) < -1e-10)
+    assert np.count_nonzero(face) == 200 and np.count_nonzero(kept & face) == 18
+    full = oriented_distance_batch(cone, diff)
+    assert values[kept].tobytes() == full[kept].tobytes()
+    assert np.count_nonzero(full <= STRICT_DELTA) == np.count_nonzero(values <= STRICT_DELTA) > 1
+
+
+def verdict_text(verdict):
+    """Byte-exact text of an EfficiencyVerdict: strings and ints by repr,
+    floats by hex, arrays by their bytes, witness fields in sorted order."""
+    def canon(obj):
+        if isinstance(obj, dict):
+            return "{" + ",".join(f"{k}:{canon(obj[k])}" for k in sorted(obj)) + "}"
+        if isinstance(obj, np.ndarray):
+            return f"{obj.dtype.str}{obj.shape}{obj.tobytes().hex()}"
+        if isinstance(obj, float):
+            return obj.hex()
+        return repr(obj)
+    return canon({f.name: getattr(verdict, f.name) for f in dataclasses.fields(verdict)})
+
+
+def verdict_cases(label):
+    """(problem, points): a registry entry's designated point and the box
+    points at 0, 1/4, 3/4 and 1 of its diagonal; four diagnose-3d points."""
+    if label == "diagnose-3d":
+        points = [(0.0, 0.0, 0.0), (-0.5, -0.5, 0.5), (0.5, 0.0, 0.0), (1.0, 1.0, 1.0)]
+        return load_problem(DIAGNOSE3D), points
+    entry = registry.get(label)
+    problem = entry.build()
+    lo, hi = problem.domain.lower, problem.domain.upper
+    return problem, [entry.designated] + [tuple(lo + t * (hi - lo)) for t in (0.0, 0.25, 0.75, 1.0)]
+
+
+# sha256 prefixes of verdict_text for each point of verdict_cases
+VERDICT_PINS = {
+    ('zero-function', 21): ('49980648d2766f29', 'a7e93b0c19b2353b', '6a3e4a32cf3090d9', '245831210703da00', '545e6a9ef6e30a5b'),
+    ('zero-function', 201): ('d4ede3b3c9e97db2', '3aca69230ae4cbb2', 'c6ced1059209762a', 'a25126c6c53934ae', '4f8e587dbb7c51a9'),
+    ('x-minus-x', 21): ('1338325b74652902', '43bf19598e965151', 'e3cbf08f88c93200', '57f20c7cbb9ba1e1', 'bdacf4cf3d115d70'),
+    ('x-minus-x', 201): ('44a785fae2707d28', '237486001849da92', 'e170ed1ae099d388', 'db391151230fe58f', 'f2935f3b3a97206b'),
+    ('quad-pair', 21): ('1338325b74652902', 'f09b374b7a6c2c0b', 'b11f3aa804e31817', '368ccf44e1264576', '0b5e5fa808afef9d'),
+    ('quad-pair', 201): ('44a785fae2707d28', '10b30e367248bb43', '349753996fdd8eca', '07ae271dece1376a', 'a6547a518a6c9b55'),
+    ('x-x2', 21): ('679c9b531e7434cc', 'db3742d23c33347b', 'c0d228d8a9b79cb6', 'd60cb8c52d18ffc0', '2991ec0b1d278a78'),
+    ('x-x2', 201): ('76cfc83ff77546d5', 'af44b906255b1775', 'a9b714fbaef8b3de', '7f6ce0d6fc47647e', '8a7646f69cb427e9'),
+    ('x-minus-xex', 21): ('679c9b531e7434cc', 'db3742d23c33347b', 'fdf1004466c027e8', 'c1da8d127c27c4e5', '06fc54ac1d0e2a51'),
+    ('x-minus-xex', 201): ('76cfc83ff77546d5', 'af44b906255b1775', '8b925a45595d50e1', '26964531b0dc7c65', 'a3391baa0f4cac53'),
+    ('biquad', 21): ('1338325b74652902', '8e688b72175e2b3d', '2af70b7be085c042', '57f20c7cbb9ba1e1', 'bdacf4cf3d115d70'),
+    ('biquad', 201): ('49a232b5a899de4f', 'f6a85f04e5737544', '959a409845898831', 'db391151230fe58f', 'e1740a75c3b361c2'),
+    ('abs-pair', 21): ('220f0a9c7974266d', 'c151a15b7a70686e', 'e3cbf08f88c93200', '062fa75b93d06240', 'de0e2632c4980506'),
+    ('abs-pair', 201): ('0fe05cb6901a7d02', '84511e06f037729a', 'e170ed1ae099d388', '97b8b1ff7e1812c7', '201c996007496f1c'),
+    ('exp-linear', 21): ('e3cbf08f88c93200', '43bf19598e965151', 'e3cbf08f88c93200', '57f20c7cbb9ba1e1', 'bdacf4cf3d115d70'),
+    ('exp-linear', 201): ('e170ed1ae099d388', '237486001849da92', 'e170ed1ae099d388', 'db391151230fe58f', 'f2935f3b3a97206b'),
+    ('quad-2d', 21): ('e476f13c7a541aee', 'f90361c275dd28e1', '925f95e93c775671', '7f97d7ea917c41fe', '310ebeccf6abed1f'),
+    ('quad-2d', 201): ('ba432ade8f73baa4', '0f237d1a7fef1d92', 'a3b93e870c9c3666', 'a43ea1c41c5ce767', 'c4feb79e179a3840'),
+    ('skew-cone-quad', 21): ('57f20c7cbb9ba1e1', 'e0f47b30d15eff57', 'ba12ceb4277fbabc', '57f20c7cbb9ba1e1', 'bdacf4cf3d115d70'),
+    ('skew-cone-quad', 201): ('db391151230fe58f', '37f0bf7c9ee417f3', '5e6958e28d8d0c4f', 'db391151230fe58f', 'f2935f3b3a97206b'),
+    ('hilbert-truncation-2', 21): ('e476f13c7a541aee', '8a1fd4d54503e55d', '6a87b587ccb6f677', '7dd319bb92342f1d', '18ea87524e07a90c'),
+    ('hilbert-truncation-2', 201): ('ba432ade8f73baa4', 'fea5ba6a518af2cc', '1f9b85800702749f', 'e81e79895a35b91b', '3eb8531c53208a97'),
+    ('diagnose-3d', 41): ('6ff6a1305ee9fae6', '3611a7224b00e02b', 'd9f1c62dc6cf54ce', '74b3dc36df93f42e'),
+}
+
+
+@pytest.mark.parametrize("label, res", list(VERDICT_PINS), ids=[f"{l}-{r}" for l, r in VERDICT_PINS])
+def test_classify_verdicts_are_pinned(label, res):
+    problem, points = verdict_cases(label)
+    got = tuple(hashlib.sha256(verdict_text(classify_point(problem, x, res)).encode()).hexdigest()[:16]
+                for x in points)
+    assert got == VERDICT_PINS[label, res]

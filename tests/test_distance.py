@@ -17,6 +17,8 @@ from wellposed import (
     project_neg_cone,
 )
 
+from wellposed.distance import _oriented_distance_upto
+
 from oracles import arc_distance_2d, dense_neg_cone, dual_projection_kkt, orthant_distance
 
 SKEW = OrderingCone(2, [[1.0, 0.0], [1.0, 1.0]])
@@ -90,7 +92,24 @@ def test_batch_agrees_with_single():
     ys = np.random.default_rng(4).normal(size=(128, 2)) * 3.0
     batch = oriented_distance_batch(SKEW, ys)
     singles = np.array([oriented_distance(SKEW, y).value for y in ys])
-    np.testing.assert_allclose(batch, singles, atol=1e-12)
+    np.testing.assert_array_equal(batch, singles)
+
+
+def test_one_row_batches_give_the_batch_values():
+    # a value must not depend on the rows batched with it: the pruned strict
+    # efficiency scan projects a subset of each chunk, often a single row
+    problem = load_problem(DIAGNOSE3D)
+    values = problem.domain.map_lattice(33, problem.evaluate)
+    rng = np.random.default_rng(0)
+    for x_bar in ([0.0, 0.0, 0.0], [-0.5, -0.5, 0.5]):
+        f_bar = problem.evaluate(np.array([x_bar]))[0]
+        diff = values - f_bar
+        batch = oriented_distance_batch(problem.cone, diff)
+        rows = rng.choice(len(diff), 3000, replace=False)
+        ones = np.array([oriented_distance_batch(problem.cone, diff[i:i + 1])[0] for i in rows])
+        singles = np.array([oriented_distance(problem.cone, diff[i]).value for i in rows])
+        assert ones.tobytes() == batch[rows].tobytes()
+        assert singles.tobytes() == batch[rows].tobytes()
 
 
 def _structured_points(cone, rng):
@@ -118,18 +137,23 @@ def _structured_points(cone, rng):
     return np.vstack(plain), np.vstack(outside), np.concatenate(norms)
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.integers(2, 4), st.data())
-def test_projection_is_kkt_optimal_on_random_cones(m, data):
+def _random_cone(m, data):
+    """A solid pointed cone in R^m from small integer generators."""
     n = data.draw(st.integers(m, 8))
     # a positive first coordinate on every generator makes the cone pointed
     first = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     rest = data.draw(st.lists(st.integers(-3, 3), min_size=n * (m - 1), max_size=n * (m - 1)))
     gens = np.column_stack([first, np.reshape(rest, (n, m - 1))]).astype(float)
     try:
-        cone = OrderingCone(m, gens)
+        return OrderingCone(m, gens)
     except InputError:
         assume(False)  # not solid
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.data())
+def test_projection_is_kkt_optimal_on_random_cones(m, data):
+    cone = _random_cone(m, data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     plain, outside, norms = _structured_points(cone, rng)
     np.testing.assert_allclose(oriented_distance_batch(cone, outside), norms, rtol=0, atol=1e-12)
@@ -144,6 +168,31 @@ def test_projection_is_kkt_optimal_on_random_cones(m, data):
         off = (ys @ cone.dual_generators.T).max(axis=1) > cone.tol
         batch = oriented_distance_batch(cone, ys)
         np.testing.assert_array_equal(batch[off], np.linalg.norm(qs[off], axis=1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.data())
+def test_pruned_batch_is_exact_where_it_keeps_rows(m, data):
+    # the value is at least the largest facet margin less the certificate
+    # tolerance, so a row whose margin is above level + 2 * tolerance is
+    # above level; every kept row gets the full batch's bits
+    cone = _random_cone(m, data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    plain, outside, _ = _structured_points(cone, rng)
+    for scale in (1.0, 1e8, 1e12):
+        ys = np.vstack([plain, outside]) * scale
+        full = oriented_distance_batch(cone, ys)
+        margins = (ys @ cone.dual_generators.T).max(axis=1)
+        slack = 2.0 * max(cone.tol, 1e-10) * np.maximum(1.0, np.linalg.norm(ys, axis=1))
+        assert np.all(full >= margins - slack / 2)
+        for level in (2.0 ** -20, 0.0, float(np.median(full)), float(full.min()), float(full.max())):
+            for size in (1, 2, len(ys)):
+                rows = np.sort(rng.choice(len(ys), size, replace=False))
+                got = _oriented_distance_upto(cone, ys[rows], level)
+                kept = np.isfinite(got)
+                np.testing.assert_array_equal(kept, margins[rows] <= level + slack[rows])
+                assert got[kept].tobytes() == full[rows][kept].tobytes()
+                assert np.all(full[rows][~kept] > level)
 
 
 @pytest.mark.parametrize("gens", [

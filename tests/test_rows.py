@@ -1,4 +1,4 @@
-"""The row kernels give the bytes of the NumPy reductions they replace.
+"""The row kernels give the bytes of the NumPy expressions they replace.
 
 Each kernel is compared with the expression it stands for through
 tobytes(), so the sign of a zero counts, on every width 0..12, on empty,
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wellposed._rows import row_all_eq, row_all_le, row_max, row_min, row_norm
+from wellposed._rows import row_all_eq, row_all_le, row_max, row_min, row_norm, row_sub
 
 SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 1e308, -1e308, 5e-324])
 WIDTHS = range(13)
@@ -50,6 +50,8 @@ def pairs(a, rng):
                outcome(lambda x, b: np.all(x <= b, axis=1), a, bound))
     for b in (a, other):
         yield outcome(row_all_eq, a, b), outcome(lambda x, y: np.all(x == y, axis=1), a, b)
+    yield outcome(row_sub, a, bound_row), outcome(lambda x, r: x - r[None, :], a, bound_row)
+    yield outcome(row_sub, bound_row, a), outcome(lambda r, x: r[None, :] - x, bound_row, a)
 
 
 def layouts(a, rng):
@@ -105,3 +107,16 @@ def test_signed_zeros_and_nans_are_kept():
     rng = np.random.default_rng(0)
     assert_kernels_match(a, rng)
     assert np.signbit(row_min(a[4:])).all() and np.isnan(row_max(a[2:4])).all()
+
+
+def test_row_subtraction_keeps_signed_zeros_and_infinities():
+    a = np.array([[0.0, -0.0, np.inf], [-0.0, 0.0, -np.inf], [1.0, -1.0, 5e-324]])
+    row = np.array([-0.0, 0.0, np.inf])
+    with np.errstate(invalid="ignore"):  # inf - inf
+        cases = ((row_sub(a, row), a - row[None, :]), (row_sub(row, a), row[None, :] - a))
+    for got, want in cases:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)  # NaN exactly where NumPy's is
+        num = ~np.isnan(want)
+        assert got[num].tobytes() == want[num].tobytes()
+    assert np.signbit(cases[0][0][0, 1]) and not np.signbit(cases[1][0][0, 1])  # -0 - 0, 0 - -0
