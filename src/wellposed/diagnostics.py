@@ -57,8 +57,8 @@ STRICT_DELTA = 2.0 ** -20
 def _validate_schedule(schedule, what):
     # a fresh array: a report's schedule must not alias the module defaults
     s = np.array(schedule, dtype=float).reshape(-1)
-    if s.size == 0 or np.any(s <= 0) or np.any(np.diff(s) >= 0):
-        raise InputError(f"{what} must be a decreasing positive schedule")
+    if s.size == 0 or not np.isfinite(s).all() or np.any(s <= 0) or np.any(np.diff(s) >= 0):
+        raise InputError(f"{what} must be a finite decreasing positive schedule")
     return s
 
 
@@ -300,9 +300,9 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
     shrink with alpha, so a point outside one level is outside every later
     one, and each level is tested only on the members of the level before.
     Where rounding makes a bound row grow, that level is tested on every
-    point, so the members equal the per-level test exactly.  Above the cap
-    each level is one level_set pass.  A non-finite lattice image raises
-    InputError on both paths.
+    point, so the members equal the per-level test exactly.  Above the cap,
+    one level_set pass per direction tests all of its levels.  A non-finite
+    lattice image raises InputError on both paths.
     """
     x_bar, f_bar = finite_image(problem, x_bar)
     schedule = _validate_schedule(
@@ -340,12 +340,13 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
                 if members.size:
                     diams[i, j] = diameter(box.lattice_points_at(grid_resolution, members))
     else:
-        # above the store cap, trade time for memory: one lattice pass per level
+        # above the store cap, trade time for memory: one lattice pass per direction
         for j, c in enumerate(dirs):
-            for i, alpha in enumerate(schedule):
-                pts = level_set(problem, f_bar + alpha * c, grid_resolution)
-                counts[i, j] = pts.shape[0]
-                diams[i, j] = diameter(pts)
+            levels = level_set(problem, f_bar + schedule[:, None] * c, grid_resolution)
+            # smallest level first, each freed once measured: the largest is measured alone
+            for i in reversed(range(schedule.size)):
+                counts[i, j] = levels[i].shape[0]
+                diams[i, j] = diameter(levels.pop())
 
     verdict = _aggregate([_curve_verdict(diams[:, j], spacing) for j in range(dirs.shape[0])])
     return WellPosednessReport(

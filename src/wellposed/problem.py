@@ -453,19 +453,32 @@ def scalarize_oriented(problem: VectorProblem, x_bar) -> ScalarProblem:
 # level sets
 
 
-def level_set(problem: VectorProblem, y, grid_resolution) -> np.ndarray:
+def level_set(problem: VectorProblem, y, grid_resolution):
     """Lattice points x with f(x) <=_C y (non-strict membership of y - f(x)),
     as a (k, decision_dim) array in flat-index order.
 
-    A non-finite lattice image raises InputError.
+    y is one (m,) level vector, or an (L, m) stack of them, for which the
+    list of the L level sets comes from one lattice pass: each chunk is
+    evaluated once and every level runs its own membership test on that
+    image, so each set has the bits of a pass of its own.  Only member flat
+    indices are kept during the pass.  A non-finite level or lattice image
+    raises InputError.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape != (problem.objective_dim,):
-        raise InputError("level vector dimension mismatch")
+    levels = np.asarray(y, dtype=float)
+    stack = np.atleast_2d(levels)
+    if levels.ndim > 2 or stack.shape[0] == 0 or stack.shape[1] != problem.objective_dim:
+        raise InputError("level_set takes an (m,) level vector or an (L, m) stack, L >= 1")
+    if not np.isfinite(stack).all():
+        raise InputError("level vectors must be finite")
     box, cone = problem.domain, problem.cone
-    mask = box.map_lattice(
-        grid_resolution, lambda pts: cone.contains_batch(row_sub(y, lattice_image(problem, pts))))
-    return box.lattice_points_at(grid_resolution, np.flatnonzero(mask))
+    members = [[] for _ in stack]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pts, start in box.iter_lattice(grid_resolution):
+            img = lattice_image(problem, pts)
+            for level, found in zip(stack, members):
+                found.append(start + np.flatnonzero(cone.contains_batch(row_sub(level, img))))
+    sets = [box.lattice_points_at(grid_resolution, np.concatenate(found)) for found in members]
+    return sets if levels.ndim == 2 else sets[0]
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,35 @@ def test_dh_refuses_nan_lattice_images_without_the_efficiency_check(grid):
         dh_diagnostic(nan_right_tail(), [0.5], grid_resolution=grid, require_efficient=False)
 
 
+@pytest.mark.parametrize("schedule", [[1.0, np.nan], [np.nan, 0.5], [np.inf, 0.5]])
+def test_non_finite_schedules_are_refused(schedule):
+    # a NaN level holds no point and an inf level every point, so either
+    # would shape the curve from a level no scan can measure
+    p = registry.get("quad-pair").build()
+    with pytest.raises(InputError, match="alpha_schedule must be a finite"):
+        dh_diagnostic(p, [0.0], alpha_schedule=schedule, grid_resolution=21)
+    with pytest.raises(InputError, match="level_schedule must be a finite"):
+        dh_via_scalarization(p, [0.0], level_schedule=schedule, grid_resolution=21)
+    with pytest.raises(InputError, match="level_schedule must be a finite"):
+        tykhonov_diagnostic(scalarize_linear(p, [1.0, 0.0]), level_schedule=schedule,
+                            grid_resolution=21)
+
+
+def test_over_cap_dh_evaluates_the_lattice_once_per_direction(monkeypatch):
+    base = registry.get("quad-2d").build()
+    evaluated = []
+
+    def counted(points):
+        evaluated.append(len(points))
+        return base.evaluator(points)
+
+    monkeypatch.setattr(diagnostics_module, "LATTICE_CAP", 0)
+    report = dh_diagnostic(dataclasses.replace(base, evaluator=counted), [0.5, 0.0],
+                           grid_resolution=41, require_efficient=False)
+    # f(x_bar), then one pass per direction that tests all of its levels
+    assert sum(evaluated) == 1 + report.directions.shape[0] * 41 ** 2
+
+
 def test_report_schedule_does_not_alias_the_default():
     before = DEFAULT_ALPHA_SCHEDULE.copy()
     reports = [tykhonov_diagnostic(scalarize_linear(quad_pair(), [1.0, 0.0]), grid_resolution=11),
@@ -395,8 +424,8 @@ def test_nested_walk_equals_the_per_level_test(m, data):
 
 @pytest.mark.parametrize("label", registry.labels() + ("diagnose-3d",))
 def test_over_cap_level_set_route_matches_the_stored_margins(monkeypatch, label):
-    # the store path walks nested levels over kept margins; above the cap each
-    # level is its own level_set pass, and both must measure the same sets
+    # the store path walks nested levels over kept margins; above the cap one
+    # level_set pass tests each direction's levels, and both must measure the same sets
     if label == "diagnose-3d":
         repo = Path(__file__).resolve().parents[1]
         problem, x_bar = load_problem(repo / "bench" / "diagnose3d.yaml"), (0.0, 0.0, 0.0)

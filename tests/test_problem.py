@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from wellposed import (
     diameter,
     function_distance,
     level_set,
+    load_problem,
     orthant,
     perturb,
     registry,
@@ -24,6 +27,7 @@ from wellposed.diagnostics import DEFAULT_ALPHA_SCHEDULE
 from wellposed.problem import (
     _DIRECT_DIAMETER_MAX,
     CHUNK,
+    LATTICE_CAP,
     METRIC_TAIL,
     METRIC_TRUNCATION,
     _off_line_ends,
@@ -330,6 +334,55 @@ def test_level_set_monotone_in_cone_order():
     small_rows = {tuple(r) for r in np.round(small, 9)}
     large_rows = {tuple(r) for r in np.round(large, 9)}
     assert small_rows <= large_rows
+
+
+@pytest.mark.parametrize("y", [[np.inf, np.inf], [np.nan, 0.0], [np.inf, 0.25],
+                               [[0.25, 0.25], [np.inf, 0.25]]])
+def test_level_set_refuses_non_finite_levels(y):
+    # every image lies below +inf: an empty answer would come from a dropped level
+    with pytest.raises(InputError, match="level vectors must be finite"):
+        level_set(registry.get("quad-pair").build(), y, 21)
+
+
+@pytest.mark.parametrize("y", [np.empty((0, 2)), np.zeros((1, 1, 2)), [0.25],
+                               [[0.25, 0.25, 0.25]]])
+def test_level_set_refuses_malformed_level_stacks(y):
+    with pytest.raises(InputError, match=r"an \(m,\) level vector or an \(L, m\) stack"):
+        level_set(registry.get("quad-pair").build(), y, 21)
+
+
+def _dh_levels(label):
+    """The DH levels f(x_bar) + alpha*c of every battery direction, one stack each."""
+    if label == "diagnose-3d":
+        problem = load_problem(Path(__file__).resolve().parents[1] / "bench" / "diagnose3d.yaml")
+        x_bar = (0.0, 0.0, 0.0)
+    else:
+        problem, x_bar = registry.get(label).build(), registry.get(label).designated
+    f_bar = problem.evaluate_one(x_bar)
+    return problem, [f_bar + DEFAULT_ALPHA_SCHEDULE[:, None] * c
+                     for c in problem.cone.interior_direction_battery()]
+
+
+@pytest.mark.parametrize("label", registry.labels() + ("diagnose-3d",))
+def test_stacked_levels_equal_one_pass_per_level(label):
+    # one lattice pass tests every level of a stack with the same membership
+    # test on the same image bits as a pass of its own
+    problem, stacks = _dh_levels(label)
+    for stack in stacks:
+        got = level_set(problem, stack, 41)
+        assert len(got) == stack.shape[0]
+        for pts, y in zip(got, stack):
+            assert pts.tobytes() == level_set(problem, y, 41).tobytes()
+
+
+def test_stacked_levels_equal_one_pass_per_level_above_the_store_cap():
+    problem = registry.get("quad-pair").build()
+    stack = np.array([[0.25, 0.25], [1e-4, 2e-4], [0.0, 0.0]])
+    got = level_set(problem, stack, LATTICE_CAP + 1)  # several chunks
+    sizes = [pts.shape[0] for pts in got]
+    assert sizes == sorted(set(sizes), reverse=True) and sizes[-1] > 0  # x = 0 in every level
+    for pts, y in zip(got, stack):
+        assert pts.tobytes() == level_set(problem, y, LATTICE_CAP + 1).tobytes()
 
 
 def test_function_distance_identical_is_zero():
