@@ -232,9 +232,9 @@ class OrderingCone:
             raise InputError(f"expected points of length {self.ambient_dim}")
         return row_min(pts @ self.dual_generators.T)
 
-    def contains_batch(self, points, strict=False):
-        mg = self.margins(points)
-        return mg > self.tol if strict else mg >= -self.tol
+    def contains_batch(self, points):
+        """(n,) non-strict cone membership of each row."""
+        return self.margins(points) >= -self.tol
 
     # -- dual objects ----------------------------------------------------
 

@@ -10,7 +10,7 @@ thresholds STRICT_EPS and STRICT_DELTA are fixed module constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .problem import (
     diameter,
     finite_image,
     lattice_image,
+    lattice_values,
     level_set,
     scalarize_linear,
     scalarize_oriented,
@@ -260,9 +261,7 @@ def tykhonov_diagnostic(sp: ScalarProblem, level_schedule=None,
     schedule = _validate_schedule(
         DEFAULT_ALPHA_SCHEDULE if level_schedule is None else level_schedule,
         "level_schedule")
-    values = sp.domain.map_lattice(grid_resolution, sp.evaluate)
-    if not np.all(np.isfinite(values)):
-        raise InputError("objective must be finite on the lattice")
+    values = lattice_values(sp, grid_resolution)
     inf = float(values.min())
     argmin_flat = int(values.argmin())
     diams = np.zeros((schedule.size, 1))
@@ -366,15 +365,8 @@ def dh_via_scalarization(problem: VectorProblem, x_bar, level_schedule=None,
     sp = scalarize_oriented(problem, x_bar)
     base = tykhonov_diagnostic(sp, level_schedule=level_schedule,
                                grid_resolution=grid_resolution)
-    details = dict(base.details)
-    details["route"] = "oriented-distance-scalarization"
-    return WellPosednessReport(
-        kind="dh-scalarized", label=problem.label, point=x_bar, directions=None,
-        schedule=base.schedule, diam_curve=base.diam_curve, counts=base.counts,
-        verdict=base.verdict, grid_resolution=grid_resolution,
-        lattice_spacing=base.lattice_spacing, tol_abs=TOL_ABS,
-        decay_ratio=DECAY_RATIO, details=details,
-    )
+    return replace(base, kind="dh-scalarized", label=problem.label, point=x_bar,
+                   details={**base.details, "route": "oriented-distance-scalarization"})
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,19 @@
 The signed quantity computed here is d(y, -C) - d(y, complement of -C):
 positive outside -C, negative inside, zero on the boundary.  Outside, the
 value is ||P_{C*}(y)|| (Moreau decomposition y = P_{-C}(y) + P_{C*}(y)),
-which single points and batches compute by one exact route at a tolerance
-relative to each row (_dual_projections); a row the route cannot certify
-raises NumericalFailure.  Inside, the distance to the complement is the
-smallest facet-hyperplane distance, so the value is the largest facet
-margin.  Outside too the largest facet margin bounds the value from below:
+computed by one exact route at a tolerance relative to each row
+(_dual_projections); a row the route cannot certify raises
+NumericalFailure.  Inside, the distance to the complement is the smallest
+facet-hyperplane distance, so the value is the largest facet margin.
+Outside too the largest facet margin bounds the value from below:
 y - P_{C*}(y) = P_{-C}(y) lies in -C, so <xi, y> <= <xi, P_{C*}(y)> <=
-||P_{C*}(y)|| for every unit dual generator xi.  A caller that reads only
-the values up to some level therefore projects only the rows whose margin
-can reach it (_oriented_distance_upto).  Every row's value comes out of the
-same products whatever the batch holds, so one row alone, any subset of a
-batch and the whole batch give the same bits.  A sampled max over dual
-directions provides an always-below cross-check of the same quantity.
+||P_{C*}(y)|| for every unit dual generator xi.  One routine,
+_oriented_distance_upto, gives the values up to a level and projects only
+the rows whose margin can reach it; the batch is its level = +inf case,
+and a single point runs the same products and projection on its one row,
+so one row alone, any subset of a batch and the whole batch give the same
+bits.  A sampled max over dual directions provides an always-below
+cross-check of the same quantity.
 """
 
 from __future__ import annotations
@@ -42,14 +43,23 @@ class OrientedDistanceResult:
     active_facet: int | None
 
 
+def _one_point(cone: OrderingCone, y):
+    """(y flattened, P_{C*}(y) as a (1, m) row or None for y in -C, the (1, f)
+    facet products of y) for one finite point: the bits of y's batch row."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.shape != (cone.ambient_dim,) or not np.isfinite(y).all():
+        raise InputError(f"expected a finite vector of length {cone.ambient_dim}")
+    prods = _many_row_product(y[None, :], cone.dual_generators.T)
+    if not row_max(prods)[0] > cone.tol:
+        return y, None, prods  # y in -C, the polar cone of C*
+    proj = next(proj for rows, proj in _dual_projections(cone, y[None, :]) if rows.size)
+    return y, proj, prods
+
+
 def project_dual_cone(cone: OrderingCone, y):
     """Exact projection of y onto the dual cone C*."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape != (cone.ambient_dim,):
-        raise InputError(f"expected vector of length {cone.ambient_dim}")
-    if row_max(_many_row_product(y[None, :], cone.dual_generators.T))[0] <= cone.tol:
-        return np.zeros(cone.ambient_dim)  # y in -C, the polar cone of C*
-    return next(proj[0] for rows, proj in _dual_projections(cone, y[None, :]) if rows.size)
+    _, proj, _ = _one_point(cone, y)
+    return np.zeros(cone.ambient_dim) if proj is None else proj[0]
 
 
 def project_neg_cone(cone: OrderingCone, y):
@@ -60,17 +70,12 @@ def project_neg_cone(cone: OrderingCone, y):
 
 def oriented_distance(cone: OrderingCone, y) -> OrientedDistanceResult:
     """Oriented distance of a single point to -C with certificates."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape != (cone.ambient_dim,):
-        raise InputError(f"expected vector of length {cone.ambient_dim}")
-    # the value of the one-row batch, which is the value of y in any batch
-    value = float(oriented_distance_batch(cone, y[None, :])[0])
-    prods = _many_row_product(y[None, :], cone.dual_generators.T)
-    if row_max(prods)[0] > cone.tol:
-        return OrientedDistanceResult(value, y - project_dual_cone(cone, y), None)
+    y, proj, prods = _one_point(cone, y)
+    if proj is not None:
+        return OrientedDistanceResult(float(row_norm(proj)[0]), y - proj[0], None)
     # inside (or on the boundary of) -C: distance to the complement is the
     # nearest facet hyperplane; ties resolve to the smallest facet index
-    return OrientedDistanceResult(value, y.copy(), int(np.argmax(prods[0])))
+    return OrientedDistanceResult(float(row_max(prods)[0]), y.copy(), int(np.argmax(prods[0])))
 
 
 def _many_row_product(a, b):
@@ -128,20 +133,13 @@ def oriented_distance_batch(cone: OrderingCone, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != cone.ambient_dim:
         raise InputError(f"expected points of length {cone.ambient_dim}")
-    # the largest facet margin inside -C, replaced by ||P_{C*}(y)|| outside
-    values = row_max(_many_row_product(pts, cone.dual_generators.T))
-    outside = values > cone.tol
-    norms = values[outside]
-    for rows, proj in _dual_projections(cone, pts[outside]):
-        norms[rows] = row_norm(proj)
-    values[outside] = norms
-    return values
+    return _oriented_distance_upto(cone, pts, np.inf)
 
 
 def _oriented_distance_upto(cone: OrderingCone, points, level):
-    """oriented_distance_batch(cone, points) for an (n, m) float array, on
-    every row whose value can be at most level, and +inf on the other rows,
-    which are never projected.
+    """(n,) oriented-distance values of an (n, m) float array: the largest
+    facet margin inside -C and ||P_{C*}(y)|| outside, on every row whose
+    value can be at most level, and +inf, unprojected, on the other rows.
 
     The value of a row y is at least its largest facet margin less the
     certificate tolerance tol = max(cone.tol, 1e-10) * max(1, ||y||) of
@@ -152,11 +150,17 @@ def _oriented_distance_upto(cone: OrderingCone, points, level):
     <= ||p|| + tol.  A row whose margin exceeds level + 2 * tol therefore
     has a value above level; the second tol absorbs rounding.
     """
-    margins = row_max(_many_row_product(points, cone.dual_generators.T))
-    tol = max(cone.tol, 1e-10) * np.maximum(1.0, row_norm(points))
-    keep = ~(margins > level + 2.0 * tol)  # a NaN row keeps its NaN value
-    values = np.full(points.shape[0], np.inf)
-    values[keep] = oriented_distance_batch(cone, points[keep])
+    values = row_max(_many_row_product(points, cone.dual_generators.T))
+    outside = values > cone.tol
+    if level < np.inf:
+        tol = max(cone.tol, 1e-10) * np.maximum(1.0, row_norm(points))
+        far = values > level + 2.0 * tol  # a NaN row keeps its NaN value
+        outside &= ~far
+        values[far] = np.inf
+    norms = values[outside]
+    for rows, proj in _dual_projections(cone, points[outside]):
+        norms[rows] = row_norm(proj)
+    values[outside] = norms
     return values
 
 

@@ -36,7 +36,9 @@ from .problem import (
     METRIC_TRUNCATION,
     ScalarProblem,
     VectorProblem,
+    finite_on_lattice,
     function_distance,
+    lattice_values,
     perturb,
     scalarize_linear,
 )
@@ -141,8 +143,9 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
     resolve lexicographically, which forces strict objective descent and
     hence termination.  A caller that already holds sp's lattice values
     in C order (as Box.map_lattice returns them) passes them as `values`,
-    and the lattice is not evaluated again.  The descent and uniqueness
-    checks allow a slack of EKELAND_TOL.
+    and the lattice is not evaluated again; a non-finite value, given or
+    evaluated, raises InputError.  The descent and uniqueness checks allow
+    a slack of EKELAND_TOL.
     """
     if epsilon <= 0 or r <= 0:
         raise InputError("epsilon and r must be positive")
@@ -153,8 +156,7 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
             values = sp.evaluate(points)
     elif np.shape(values) != (total,):
         raise InputError(f"values must hold one value per lattice point ({total})")
-    if not np.all(np.isfinite(values)):
-        raise InputError("objective must be finite on the lattice")
+    finite_on_lattice(values)
 
     x0, flat0 = sp.domain.nearest_lattice_point(grid_resolution, x_start)
     inf = float(values.min())
@@ -285,9 +287,7 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201, seed=0)
 
     g_xi = scalarize_linear(g, xi_bar)
     box = g_xi.domain
-    values = box.map_lattice(grid_resolution, g_xi.evaluate)
-    if not np.all(np.isfinite(values)):
-        raise InputError("objective must be finite on the lattice")
+    values = lattice_values(g_xi, grid_resolution)
     argmin_flat = int(values.argmin())
     near = box.lattice_points_at(grid_resolution,
                                  np.flatnonzero(values <= values[argmin_flat] + 1.0))

@@ -24,6 +24,7 @@ from .errors import InputError, NotInteriorPoint
 LATTICE_CAP = 2_000_000
 CHUNK = 262_144
 _DIRECT_DIAMETER_MAX = 3000
+BOX_SLACK = 1e-9
 
 # function_distance is the truncated ball-sup series: the sum over
 # i = 1..METRIC_TRUNCATION of 2^-i u_i/(1+u_i), with u_i the sup of ||f - g||
@@ -77,11 +78,12 @@ class Box:
     def center(self):
         return 0.5 * (self.lower + self.upper)
 
-    def contains(self, x, slack=1e-12):
+    def contains(self, x):
+        """Box membership with a slack of BOX_SLACK on every bound."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.shape != self.lower.shape:
             raise InputError(f"expected point of length {self.dim}")
-        return bool(np.all(x >= self.lower - slack) and np.all(x <= self.upper + slack))
+        return bool(np.all(x >= self.lower - BOX_SLACK) and np.all(x <= self.upper + BOX_SLACK))
 
     def clip(self, points):
         return np.clip(points, self.lower, self.upper)
@@ -149,7 +151,7 @@ class Box:
 
     def nearest_lattice_point(self, resolution, x):
         x = np.asarray(x, dtype=float).reshape(-1)
-        if not self.contains(x, slack=1e-9):
+        if not self.contains(x):
             raise InputError("point lies outside the box")
         h = (self.upper - self.lower) / (_checked_resolution(resolution) - 1)
         steps = np.clip(np.rint((x - self.lower) / h).astype(np.int64), 0, resolution - 1)
@@ -248,6 +250,8 @@ def diameter(point_set):
     route.
     """
     pts = np.atleast_2d(np.asarray(point_set, dtype=float))
+    if not np.isfinite(pts).all():
+        raise InputError("diameter needs finite points")
     n = pts.shape[0]
     if n <= 1:
         return 0.0
@@ -402,7 +406,7 @@ def finite_image(problem: VectorProblem, x_bar):
     """(x_bar, f(x_bar)) with x_bar flattened; x_bar must lie in the domain
     box and f(x_bar) must be finite, or no comparison against it is meaningful."""
     x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
-    if not problem.domain.contains(x_bar, slack=1e-9):
+    if not problem.domain.contains(x_bar):
         raise InputError("x_bar must lie in the domain box")
     f_bar = problem.evaluate_one(x_bar)
     if not np.all(np.isfinite(f_bar)):
@@ -410,13 +414,22 @@ def finite_image(problem: VectorProblem, x_bar):
     return x_bar, f_bar
 
 
-def lattice_image(problem: VectorProblem, points):
-    """f on a batch of lattice points.  A non-finite image raises InputError:
-    a NaN compares false everywhere, so a scan would drop its point silently."""
-    vals = problem.evaluate(points)
-    if not np.isfinite(vals).all():
+def finite_on_lattice(values):
+    """values, refused with InputError if any is not finite: a NaN compares
+    false everywhere, so a scan would drop its point silently."""
+    if not np.isfinite(values).all():
         raise InputError("objective must be finite on the lattice")
-    return vals
+    return values
+
+
+def lattice_image(problem: VectorProblem, points):
+    """f on a batch of lattice points, refused if not finite."""
+    return finite_on_lattice(problem.evaluate(points))
+
+
+def lattice_values(sp: ScalarProblem, grid_resolution):
+    """sp on its whole lattice in C order (Box.map_lattice), refused if not finite."""
+    return finite_on_lattice(sp.domain.map_lattice(grid_resolution, sp.evaluate))
 
 
 def scalarize_linear(problem: VectorProblem, xi) -> ScalarProblem:
@@ -438,13 +451,9 @@ def scalarize_oriented(problem: VectorProblem, x_bar) -> ScalarProblem:
     scan over this scalarization can drop a point as NaN.
     """
     _, f_bar = finite_image(problem, x_bar)
-    base, cone = problem.evaluator, problem.cone
 
     def ev(points):
-        vals = np.asarray(base(np.atleast_2d(points)), dtype=float)
-        if not np.isfinite(vals).all():
-            raise InputError("objective must be finite on the lattice")
-        return oriented_distance_batch(cone, row_sub(vals, f_bar))
+        return oriented_distance_batch(problem.cone, row_sub(lattice_image(problem, points), f_bar))
 
     return ScalarProblem(problem.label + "|od", problem.decision_dim, ev, problem.domain)
 
@@ -485,16 +494,6 @@ def level_set(problem: VectorProblem, y, grid_resolution):
 # distance between problems
 
 
-def _difference_norms(p, q, points):
-    fv = np.asarray(p.evaluate(points), dtype=float)
-    gv = np.asarray(q.evaluate(points), dtype=float)
-    if fv.ndim == 1:
-        fv = fv[:, None]
-    if gv.ndim == 1:
-        gv = gv[:, None]
-    return row_norm(fv - gv)
-
-
 def _ball_battery(box: Box, anchor, radius):
     """Deterministic probes: anchor, axis extremes, and each box corner
     pulled onto the radius sphere along its ray from the anchor.  For
@@ -519,8 +518,8 @@ def _ball_battery(box: Box, anchor, radius):
     return np.array(rows)
 
 
-def function_distance(p, q) -> float:
-    """Metric between two problems sharing a domain box; value in [0, 1]."""
+def function_distance(p: VectorProblem, q: VectorProblem) -> float:
+    """Metric between two vector problems sharing a domain box; value in [0, 1]."""
     if not (np.allclose(p.domain.lower, q.domain.lower) and np.allclose(p.domain.upper, q.domain.upper)):
         raise InputError("problems must share a domain box")
     box = p.domain
@@ -539,7 +538,7 @@ def function_distance(p, q) -> float:
         samples = box.clip(anchor[None, :] + (radii / norms)[:, None] * dirs)
         pts = np.vstack([probes, samples])
         with np.errstate(over="ignore", invalid="ignore"):
-            u = float(np.max(_difference_norms(p, q, pts)))
+            u = float(np.max(row_norm(p.evaluate(pts) - q.evaluate(pts))))
         if not np.isfinite(u) or u > METRIC_OVERFLOW:
             return 1.0
         total += 2.0 ** (-i) * u / (1.0 + u)

@@ -17,6 +17,7 @@ from wellposed import (
     project_neg_cone,
 )
 
+from wellposed import distance
 from wellposed.distance import _oriented_distance_upto
 
 from oracles import arc_distance_2d, dense_neg_cone, dual_projection_kkt, orthant_distance
@@ -110,6 +111,42 @@ def test_one_row_batches_give_the_batch_values():
         singles = np.array([oriented_distance(problem.cone, diff[i]).value for i in rows])
         assert ones.tobytes() == batch[rows].tobytes()
         assert singles.tobytes() == batch[rows].tobytes()
+
+
+def test_single_points_and_the_pruned_scan_project_each_row_once(monkeypatch):
+    # a single point runs the batch's products and projection on its one row,
+    # once for its value and nearest point; the pruned scan is the routine
+    # the batch runs, not a second pass over the rows it keeps
+    projected = []
+    orig = distance._dual_projections
+
+    def counted(cone, points):
+        projected.append(len(points))
+        return orig(cone, points)
+
+    ys = np.random.default_rng(4).normal(size=(128, 2)) * 3.0
+    full = oriented_distance_batch(SKEW, ys)
+    monkeypatch.setattr(distance, "_dual_projections", counted)
+    y = np.array([3.0, -4.0])  # outside -C
+    res = oriented_distance(SKEW, y)
+    assert projected == [1]
+    assert res.value == oriented_distance_batch(SKEW, y[None, :])[0] > 0
+    assert res.nearest_point.tobytes() == project_neg_cone(SKEW, y).tobytes()
+
+    def reentered(*args):
+        raise AssertionError("the pruned scan re-entered oriented_distance_batch")
+
+    monkeypatch.setattr(distance, "oriented_distance_batch", reentered)
+    assert _oriented_distance_upto(SKEW, ys, np.inf).tobytes() == full.tobytes()
+    pruned = _oriented_distance_upto(SKEW, ys, 0.0)
+    assert pruned[np.isfinite(pruned)].tobytes() == full[np.isfinite(pruned)].tobytes()
+
+
+def test_single_points_must_be_finite():
+    for bad in ([np.nan, 1.0], [np.inf, -1.0], [-np.inf, -1.0]):
+        for single in (oriented_distance, project_dual_cone, project_neg_cone):
+            with pytest.raises(InputError, match="finite"):
+                single(SKEW, bad)
 
 
 def _structured_points(cone, rng):

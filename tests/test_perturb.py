@@ -186,6 +186,17 @@ def test_ekeland_rejects_values_of_the_wrong_length():
         ekeland_point(sp, [0.5], 0.05, 5.0, grid_resolution=201, values=np.zeros(200))
 
 
+def test_ekeland_refuses_non_finite_values_given_or_evaluated():
+    sp = scalarize_linear(prob(lambda x: x ** 2, 1, [-1.0], [1.0]), [1.0])
+    values = sp.domain.map_lattice(201, sp.evaluate)
+    values[7] = np.nan
+    with pytest.raises(InputError, match="finite on the lattice"):
+        ekeland_point(sp, [0.5], 0.05, 5.0, grid_resolution=201, values=values)
+    sp = scalarize_linear(prob(lambda x: np.sqrt(x), 1, [-1.0], [1.0]), [1.0])
+    with pytest.raises(InputError, match="finite on the lattice"):
+        ekeland_point(sp, [0.5], 0.05, 5.0, grid_resolution=201)
+
+
 def test_pipeline_refuses_non_finite_lattice_image():
     x_nan = np.linspace(-2.0, 2.0, 201)[115]
     p = prob(lambda x: np.where(x == x_nan, np.nan, x ** 2).repeat(2, axis=1),

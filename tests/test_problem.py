@@ -87,6 +87,25 @@ def test_nearest_lattice_point_snaps():
         box.nearest_lattice_point(1, [0.13])  # a step of 2/0 would snap to NaN
 
 
+def test_box_membership_allows_a_fixed_slack():
+    box = Box(np.array([-1.0]), np.array([1.0]))
+    assert box.contains([1.0 + 0.5e-9]) and box.contains([-1.0 - 0.5e-9])
+    assert not box.contains([1.0 + 2e-9]) and not box.contains([-1.0 - 2e-9])
+
+
+@pytest.mark.parametrize("n", [5, _DIRECT_DIAMETER_MAX + 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_diameter_refuses_non_finite_rows(n, bad):
+    # the pair sweep would return nan and the hull route's SVD would fail to
+    # converge; both sizes refuse before either route runs
+    pts = np.random.default_rng(0).normal(size=(n, 3))
+    pts[n // 2, 1] = bad
+    with pytest.raises(InputError, match="finite"):
+        diameter(pts)
+    with pytest.raises(InputError, match="finite"):
+        diameter(pts[n // 2:n // 2 + 1])  # one row too
+
+
 def test_diameter_fixed_values():
     assert diameter(np.array([[0.0, 0.0], [3.0, 4.0]])) == pytest.approx(5.0)
     assert diameter(np.array([[2.0, 7.0]])) == 0.0
