@@ -86,6 +86,20 @@ def _nested_members(rows, bounds):
 # efficiency classification
 
 
+def _domination(cone, diff, rtol):
+    """(margins, sizes, dom, weak) for the rows of diff = f(x) - f(x_bar).
+
+    margins are the membership margins of f(x_bar) - f(x) and sizes the
+    norms of diff.  x is a domination witness (dom) when f(x) lies below
+    f(x_bar) in the cone order, at the cone's own tolerance, and apart from
+    it by more than rtol; a weak witness (weak) has every facet margin
+    above rtol.  x_bar is efficient unless some row is either.
+    """
+    margins = cone.margins(-diff)
+    sizes = row_norm(diff)
+    return margins, sizes, (margins >= -cone.tol) & (sizes > rtol), margins > rtol
+
+
 @dataclass(frozen=True)
 class EfficiencyVerdict:
     """Tri-state classification of one candidate point."""
@@ -105,8 +119,8 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> Effici
     A domination witness is a lattice point whose image sits below f(x_bar)
     in the cone order (membership at the cone's own tolerance) and differs
     by more than tol, two lattice cell diagonals, in norm; a weak witness
-    needs every facet margin above tol.  Strict efficiency is the
-    epsilon-delta containment of the oriented-distance sublevel sets
+    needs every facet margin above tol (_domination).  Strict efficiency is
+    the epsilon-delta containment of the oriented-distance sublevel sets
     {D <= delta} in the epsilon-ball about x_bar.  Those sets shrink with
     delta, so only the smallest epsilon and delta can decide it: "no" with
     a witness when a point of {D <= cone.tol} lies farther than STRICT_EPS,
@@ -137,20 +151,17 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> Effici
         with np.errstate(over="ignore", invalid="ignore"):
             vals = lattice_image(problem, pts)
             diff = row_sub(vals, f_bar)
-            margins = cone.margins(-diff)  # membership margins of f_bar - f(x)
-            sizes = row_norm(diff)
+            margins, sizes, dom, weak = _domination(cone, diff, rtol)
             # exact where D <= STRICT_DELTA can hold, +inf elsewhere: the
             # only values the containment tests below read
             dvals = _oriented_distance_upto(cone, diff, STRICT_DELTA)
         dists = row_norm(row_sub(pts, x_bar))
 
-        dom = (margins >= -cone.tol) & (sizes > rtol)
         if dom.any() and "efficient" not in witnesses:
             k = int(np.flatnonzero(dom)[0])
             witnesses["efficient"] = {"x": pts[k], "f": vals[k],
                                       "margin": float(margins[k]), "size": float(sizes[k])}
             efficient = NO
-        weak = margins > rtol
         if weak.any() and "weakly_efficient" not in witnesses:
             k = int(np.flatnonzero(weak)[0])
             witnesses["weakly_efficient"] = {"x": pts[k], "f": vals[k],
@@ -191,14 +202,40 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> Effici
 
 def weff_via_distance(problem: VectorProblem, x_bar, grid_resolution=201) -> bool:
     """Weak efficiency through the oriented-distance scalarization: x_bar is
-    weakly efficient iff the scalarized lattice minimum is >= -tol, with tol
-    two lattice cell diagonals (x_bar itself attains 0).  A non-finite
-    lattice image raises InputError."""
+    weakly efficient iff the lattice minimum of D(f(x) - f(x_bar)) is >= -tol,
+    with tol two lattice cell diagonals (x_bar itself attains 0).
+
+    Only a value at or below -tol can decide it, so each chunk's values come
+    from distance._oriented_distance_upto at level -tol: exact where they
+    are at most -tol, +inf or exact elsewhere.  A row is projected only if
+    its largest facet margin can reach -tol; a row inside -C needs no
+    projection, so on lattices of moderate images none is projected.  The
+    verdict is read off the D minimum, not off classify_point's facet
+    margins.  Every chunk is scanned, so a non-finite lattice image
+    anywhere raises InputError.
+    """
+    x_bar, f_bar = finite_image(problem, x_bar)
     rtol = 2.0 * problem.domain.lattice_spacing(grid_resolution)
-    sp = scalarize_oriented(problem, x_bar)
-    values = problem.domain.map_lattice(grid_resolution, sp.evaluate)
-    best = min(0.0, float(values.min()))  # x_bar itself attains 0
+    best = 0.0  # x_bar itself attains 0
+    for pts, _ in problem.domain.iter_lattice(grid_resolution):
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = row_sub(lattice_image(problem, pts), f_bar)
+            best = min(best, float(_oriented_distance_upto(problem.cone, diff, -rtol).min()))
     return bool(best >= -rtol)
+
+
+def _dominated(problem: VectorProblem, f_bar, grid_resolution) -> bool:
+    """Whether some lattice point dominates f_bar by classify_point's rule
+    (_domination), without the rest of a classification.  Every chunk is
+    scanned, so a non-finite lattice image anywhere raises InputError."""
+    rtol = 2.0 * problem.domain.lattice_spacing(grid_resolution)
+    dominated = False
+    for pts, _ in problem.domain.iter_lattice(grid_resolution):
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = row_sub(lattice_image(problem, pts), f_bar)
+            _, _, dom, weak = _domination(problem.cone, diff, rtol)
+        dominated |= bool(dom.any() or weak.any())
+    return dominated
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +328,9 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
 
     Checks L(f(x_bar) + alpha*c) for each direction c and decreasing alpha;
     well-posed evidence needs every direction's curve to collapse.  x_bar
-    must classify efficient unless require_efficient=False.
+    must classify efficient unless require_efficient=False: one lattice pass
+    reads only classify_point's domination rule (_dominated), and
+    HypothesisNotMet is raised if some lattice point dominates x_bar.
 
     Up to the store cap the dual-generator margins <g, f(x)> of the whole
     lattice are kept, and along each direction the levels are walked
@@ -307,11 +346,9 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
     schedule = _validate_schedule(
         DEFAULT_ALPHA_SCHEDULE if alpha_schedule is None else alpha_schedule,
         "alpha_schedule")
-    if require_efficient:
-        verdict = classify_point(problem, x_bar, grid_resolution)
-        if verdict.efficient == NO:
-            raise HypothesisNotMet(
-                "x_bar classifies as not efficient; pass require_efficient=False to override")
+    if require_efficient and _dominated(problem, f_bar, grid_resolution):
+        raise HypothesisNotMet(
+            "x_bar classifies as not efficient; pass require_efficient=False to override")
     if directions is None:
         dirs = problem.cone.interior_direction_battery()
     else:

@@ -11,11 +11,14 @@ Outside too the largest facet margin bounds the value from below:
 y - P_{C*}(y) = P_{-C}(y) lies in -C, so <xi, y> <= <xi, P_{C*}(y)> <=
 ||P_{C*}(y)|| for every unit dual generator xi.  One routine,
 _oriented_distance_upto, gives the values up to a level and projects only
-the rows whose margin can reach it; the batch is its level = +inf case,
-and a single point runs the same products and projection on its one row,
-so one row alone, any subset of a batch and the whole batch give the same
-bits.  A sampled max over dual directions provides an always-below
-cross-check of the same quantity.
+the rows whose margin can reach it.  The batch is its level = +inf case;
+the strict-efficiency scan reads it up to a small positive level, and the
+weak-efficiency scan up to a negative one, -tol, which no row outside -C
+can reach unless ||y|| exceeds about 5e8 * tol, so that scan projects no
+row of a moderate image.  A single point runs the same products and
+projection on its one row, so one row alone, any subset of a batch and
+the whole batch give the same bits.  A sampled max over dual directions
+provides an always-below cross-check of the same quantity.
 """
 
 from __future__ import annotations

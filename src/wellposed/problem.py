@@ -22,6 +22,9 @@ from .distance import oriented_distance_batch
 from .errors import InputError, NotInteriorPoint
 
 LATTICE_CAP = 2_000_000
+# the most points one streamed lattice pass may visit: far above any lattice
+# the package scans, far below a pass that would never end
+LATTICE_BUDGET = 100_000_000
 CHUNK = 262_144
 _DIRECT_DIAMETER_MAX = 3000
 BOX_SLACK = 1e-9
@@ -122,8 +125,15 @@ class Box:
         return self.lattice_points_at(resolution, np.arange(total))
 
     def iter_lattice(self, resolution):
-        """Yield (points, start_flat_index) chunks of CHUNK points in C order."""
+        """Yield (points, start_flat_index) chunks of CHUNK points in C order.
+
+        A lattice above LATTICE_BUDGET points raises InputError before the
+        first chunk.
+        """
         total = self.lattice_size(resolution)
+        if total > LATTICE_BUDGET:
+            raise InputError(f"lattice of {total} points exceeds the budget {LATTICE_BUDGET} "
+                             "of one pass")
         for start in range(0, total, CHUNK):
             idx = np.arange(start, min(start + CHUNK, total))
             yield self.lattice_points_at(resolution, idx), start

@@ -139,3 +139,22 @@ def span_coords(points):
 def brute_max_distance(points):
     """pdist(points).max() in blocks: cdist and pdist share one distance kernel."""
     return max(float(cdist(points[s:s + 512], points).max()) for s in range(0, len(points), 512))
+
+
+def weakly_efficient_by_distance_image(distances, tol):
+    """Weak efficiency read off the whole oriented-distance image
+    D(f(x) - f(x_bar)) of a lattice: x_bar itself attains 0, and it is weakly
+    efficient iff the minimum is >= -tol."""
+    return bool(min(0.0, float(np.min(distances))) >= -tol)
+
+
+def dominated_on_lattice(images, f_bar, dual_generators, hard_tol, tol):
+    """Whether some image dominates f_bar under the cone whose unit facet
+    normals of -C are dual_generators: every margin of f_bar - image is
+    >= -hard_tol and the images lie more than tol apart, or every margin
+    exceeds tol (the general-cone orthant_dom_witness and
+    orthant_weak_witness)."""
+    images, f_bar = np.asarray(images, dtype=float), np.asarray(f_bar, dtype=float)
+    margins = ((f_bar[None, :] - images) @ np.asarray(dual_generators, dtype=float).T).min(axis=1)
+    sizes = np.linalg.norm(images - f_bar[None, :], axis=1)
+    return bool(np.any((margins >= -hard_tol) & (sizes > tol)) or np.any(margins > tol))

@@ -65,6 +65,14 @@ def test_csv_curve_format(tmp_path):
     assert float(diam) > 0
 
 
+def test_grid_above_the_lattice_budget_exits_two(tmp_path):
+    # 10^10 points on d = 2: refused before the first chunk, not streamed
+    code, text = run_cli(tmp_path, "classify", "--problem", "quad-2d", "--grid", "100000")
+    assert code == 2
+    assert parse_records(text)[0]["reason"] == (
+        "lattice of 10000000000 points exceeds the budget 100000000 of one pass")
+
+
 def test_csv_rejected_for_non_curve_subcommand(tmp_path):
     code, text = run_cli(tmp_path, "classify", "--problem", "quad-pair",
                          "--format", "table-csv")

@@ -33,12 +33,18 @@ from wellposed import (
     weff_via_distance,
 )
 from wellposed import diagnostics as diagnostics_module
+from wellposed import distance as distance_module
 from wellposed.diagnostics import (
     DECAY_RATIO, DEFAULT_ALPHA_SCHEDULE, STRICT_DELTA, TOL_ABS, _nested_members)
 from wellposed.distance import _oriented_distance_upto
 from wellposed.problem import LATTICE_CAP
 
-from oracles import orthant_dom_witness, orthant_weak_witness
+from oracles import (
+    dominated_on_lattice,
+    orthant_dom_witness,
+    orthant_weak_witness,
+    weakly_efficient_by_distance_image,
+)
 
 DIAGNOSE3D = Path(__file__).resolve().parents[1] / "bench" / "diagnose3d.yaml"
 
@@ -176,6 +182,99 @@ def test_weff_refuses_nan_lattice_images():
 def test_weff_matches_distance_route():
     assert weff_via_distance(quad_pair(), [0.0], 201) is True
     assert weff_via_distance(x_neg_xex(), [-1.0], 201) is False
+
+
+def test_dh_efficiency_gate_refuses_nan_lattice_images():
+    # the NaN points are the ones that dominate 0.49: a gate that drops them
+    # would pass it
+    with pytest.raises(InputError, match="finite on the lattice"):
+        dh_diagnostic(nan_tail(), [0.49])
+
+
+@pytest.mark.parametrize("scan", [
+    lambda p: weff_via_distance(p, [0.5], 300_001),
+    lambda p: dh_diagnostic(p, [0.5], grid_resolution=300_001),
+], ids=["weff", "dh-gate"])
+def test_dominated_scans_read_every_chunk(scan):
+    # 0*exp(789*x) is NaN above x = 0.8996, only in the second 262,144-point
+    # chunk, and the first chunk already holds points that dominate 0.5: a
+    # scan that stops at its first dominator would answer instead of refusing
+    p = problem_from_mapping({
+        "label": "late-nan", "decision_dim": 1, "objective_dim": 2,
+        "domain": {"lower": [-1.0], "upper": [1.0]},
+        "cone": {"generators": [[1.0, 0.0], [0.0, 1.0]]},
+        "objective": ["0*exp(789*x) + x", "0*exp(789*x) + x"]})
+    with pytest.raises(InputError, match="finite on the lattice"):
+        scan(p)
+
+
+def gate_cases():
+    """(label, problem, lattice resolution, x_bar list): every registry
+    entry at its designated point and four seeded lattice points, and the
+    benchmark's 3-D problem at a coarse lattice."""
+    rng = np.random.default_rng(16)
+    for label in registry.labels() + ("diagnose-3d",):
+        if label == "diagnose-3d":
+            problem, res = load_problem(DIAGNOSE3D), 41
+            points = [(0.0, 0.0, 0.0), (-0.5, -0.5, 0.5)]
+        else:
+            entry = registry.get(label)
+            problem, res, points = entry.build(), entry.resolution, [entry.designated]
+        flat = rng.choice(problem.domain.lattice_size(res), 4, replace=False)
+        points += list(problem.domain.lattice_points_at(res, flat))
+        yield label, problem, res, points
+
+
+def test_pruned_weak_efficiency_scan_agrees_with_the_full_distance_image():
+    # the reference reads the unpruned D image of the whole lattice
+    for label, problem, res, points in gate_cases():
+        images = problem.evaluate(problem.domain.lattice(res))
+        tol = 2.0 * problem.domain.lattice_spacing(res)
+        for x_bar in points:
+            f_bar = problem.evaluate_one(x_bar)
+            want = weakly_efficient_by_distance_image(
+                oriented_distance_batch(problem.cone, images - f_bar), tol)
+            assert weff_via_distance(problem, x_bar, res) is want, (label, x_bar)
+
+
+def refused_by_the_efficiency_gate(problem, x_bar, res):
+    try:
+        dh_diagnostic(problem, x_bar, alpha_schedule=[1.0], grid_resolution=res)
+    except HypothesisNotMet:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cap", ["stored", "over-cap"])
+def test_dh_efficiency_gate_agrees_with_classify_point(monkeypatch, cap):
+    if cap == "over-cap":
+        monkeypatch.setattr(diagnostics_module, "LATTICE_CAP", 0)
+    for label, problem, res, points in gate_cases():
+        images = problem.evaluate(problem.domain.lattice(res))
+        for x_bar in points:
+            verdict = classify_point(problem, x_bar, res)
+            dominated = dominated_on_lattice(images, problem.evaluate_one(x_bar),
+                                             problem.cone.dual_generators,
+                                             problem.cone.tol, verdict.tol)
+            assert (verdict.efficient == NO) is dominated, (label, x_bar)
+            assert refused_by_the_efficiency_gate(problem, x_bar, res) is dominated, (label, x_bar)
+
+
+def test_weak_efficiency_scan_projects_no_row_on_the_3d_benchmark_problem(monkeypatch):
+    # D can be at most -tol only inside -C, where it is the largest facet
+    # margin: no row there needs a projection
+    projected = []
+    orig = distance_module._dual_projections
+
+    def counted(cone, points):
+        projected.append(len(points))
+        return orig(cone, points)
+
+    monkeypatch.setattr(distance_module, "_dual_projections", counted)
+    problem = load_problem(DIAGNOSE3D)
+    assert weff_via_distance(problem, (0.0, 0.0, 0.0), 41) is True
+    assert weff_via_distance(problem, (-0.5, -0.5, 0.5), 41) is False
+    assert projected and sum(projected) == 0
 
 
 def test_weff_false_point_has_negative_distance_witness():

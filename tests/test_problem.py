@@ -78,6 +78,17 @@ def test_map_lattice_across_chunks_matches_one_call():
     assert np.array_equal(got, rows(pts))
 
 
+def test_lattice_pass_above_the_point_budget_is_refused_before_its_first_chunk():
+    # 100,000^2 = 10^10 points: streamed in 262,144-point chunks, it would
+    # never end
+    box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    chunks = box.iter_lattice(100_000)
+    with pytest.raises(InputError, match="exceeds the budget"):
+        next(chunks)
+    with pytest.raises(InputError, match="exceeds the budget"):
+        box.map_lattice(100_000, lambda pts: pts[:, 0])
+
+
 def test_nearest_lattice_point_snaps():
     box = Box(np.array([-1.0]), np.array([1.0]))
     x, flat = box.nearest_lattice_point(21, [0.13])

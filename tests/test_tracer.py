@@ -36,9 +36,10 @@ def test_tracer_installs_and_counts_a_small_run():
     calls, counts = got["calls"], got["counts"]
     assert calls["problem.level_set"] == 1
     assert calls["diagnostics.dh_diagnostic"] == 1
-    assert calls["diagnostics.classify_point"] == 1  # dh's efficiency precheck
+    # dh's efficiency gate reads only the domination rule, not a whole classification
+    assert "diagnostics.classify_point" not in calls
     assert calls["problem.diameter"] == 11 * 3  # every level of 3 directions holds x_bar
-    # one pass each: level_set, classify_point, dh_diagnostic's lattice image
+    # one pass each: level_set, dh's efficiency gate, dh_diagnostic's lattice image
     assert counts["problem.lattice_passes"] == 3
-    assert counts["problem.points_evaluated"] == 3 * 21 + 2  # and f(x_bar) in dh and classify
+    assert counts["problem.points_evaluated"] == 3 * 21 + 1  # and f(x_bar) once, in dh
     assert counts["problem.diameter_points"] > 0
