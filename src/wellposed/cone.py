@@ -4,9 +4,10 @@ An ordering cone is kept in a doubled representation: primal generators
 (vectors whose conic hull is the cone) and dual generators (unit outward
 facet normals of -C, equivalently the extreme rays of the dual cone C*).
 Membership tests run against the dual description, everything that needs
-rays runs against the primal one.  For ambient dimension <= 4 the dual
-description is recovered from the generators by facet enumeration, and a
-supplied one is checked against it; above that the caller must supply it.
+rays runs against the primal one.  For ambient dimension <= 4 one facet
+enumeration on the unit generators, which no rescaling changes, decides
+pointedness and checks the dual description, supplied or enumerated; above
+that the description must be supplied, and its rank decides pointedness.
 """
 
 from __future__ import annotations
@@ -28,16 +29,15 @@ TOL_MEMBERSHIP = 1e-9
 # ambient dimension the dual description must be user-supplied.
 FACET_ENUM_MAX_DIM = 4
 
-# Margin a generator must clear along the normalized generator sum for the
-# pointedness LP to be skipped.  The LP's feasibility tolerances are
-# absolute, so it rejects some pointed cones whose generators are tiny or of
-# very different lengths; the margin is taken both absolutely and relative
-# to the longest generator so that a skip never accepts such a cone.
+# Margin every unit generator must clear along the normalized generator sum
+# for pointedness to be certified without the rank test.  The rank test is
+# not run on cones this thin: the enumeration's 1e-9 dedupe would merge the
+# two facet normals of a 1e-10-wide cone.
 POINTED_CERT_MARGIN = 1e-6
 
-# Slack for supplied dual generators: how far below zero <g, xi> may fall,
-# and how far a supplied unit normal may sit from an enumerated facet normal.
-# The face test of dual_face_supports uses it for orthogonality.
+# Slack for dual generators: how far below zero <g, xi> may fall (g a raw or
+# unit generator) and how far a unit-generator facet normal may sit from a
+# kept dual.  The face test of dual_face_supports uses it for orthogonality.
 DUAL_VALIDITY_TOL = 1e-7
 
 
@@ -97,22 +97,17 @@ def _enumerate_facet_normals(generators, tol):
             candidates.append(normal)
         if np.all(-prods >= -tol):
             candidates.append(-normal)
-    if not candidates:
-        raise ConeValidationError("facet enumeration found no valid facet normals")
-    return _dedupe_unit_rows(candidates, 1e-9)
+    return _dedupe_unit_rows(candidates, 1e-9).reshape(-1, m)
 
 
-def _is_pointed(generators):
-    """LP feasibility: the cone contains a line iff some nonzero nonnegative
-    combination of generators is the negative of another one."""
-    from scipy.optimize import linprog
-
-    n, m = generators.shape
-    a_eq = np.hstack([generators.T, generators.T])      # G lam + G mu = 0
-    a_eq = np.vstack([a_eq, np.concatenate([np.ones(n), np.zeros(n)])])  # sum lam = 1
-    b_eq = np.concatenate([np.zeros(m), [1.0]])
-    res = linprog(np.zeros(2 * n), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    return not res.success
+def _dual_cone_generators(units, tol):
+    """Generators of C* from unit generators: the facet normals of C inside
+    its span V, enumerated in coordinates of V, and both directions of each
+    axis of V's orthogonal complement (C* is C_V* + V^perp)."""
+    _, sv, vt = np.linalg.svd(units)
+    k = int(np.sum(sv > sv[0] * 1e-12))
+    inner = _enumerate_facet_normals(units @ vt[:k].T, tol) @ vt[:k]
+    return np.vstack([inner, vt[k:], -vt[k:]])
 
 
 def simplex_lattice(dim, subdivisions):
@@ -136,12 +131,13 @@ class OrderingCone:
     Attributes:
         ambient_dim: dimension m of the image space.
         generators: (n, m) array; conic hull is the cone.
-        dual_generators: (f, m) array of unit outward facet normals of -C.
-            When supplied, each must lie in C* and, for ambient_dim <=
-            FACET_ENUM_MAX_DIM, every enumerated facet normal must be among
-            them.  Above that dimension supplied duals are trusted to
-            generate all of C*; membership, the oriented distance and the
-            projections are wrong for a cone whose list misses a facet.
+        dual_generators: (f, m) array of unit outward facet normals of -C,
+            enumerated on the raw generators when not supplied.  Either way
+            each must lie in C* and, for ambient_dim <= FACET_ENUM_MAX_DIM,
+            every facet normal of the unit generators must be among them.
+            Above that dimension supplied duals are trusted to generate all
+            of C*; membership, the oriented distance and the projections
+            are wrong for a cone whose list misses a facet.
         k0: unit-scale interior direction used to build the dual base.
         tol: membership tolerance TOL_MEMBERSHIP (a class constant); ties
             resolve toward non-strict membership.
@@ -158,40 +154,37 @@ class OrderingCone:
         if m < 1:
             raise InputError("ambient_dim must be >= 1")
         gens = _as_matrix(self.generators, m, "generators")
-        norms = np.linalg.norm(gens, axis=1)
-        if np.any(norms <= self.tol):
+        if np.any(np.linalg.norm(gens, axis=1) <= self.tol):
             raise InputError("generators must be nonzero")
         object.__setattr__(self, "generators", gens)
+        units = self.unit_generators
 
-        s = self.unit_generators.sum(axis=0)
-        sn = np.linalg.norm(s)
-        # Gordan's alternative: a functional positive on every generator
-        # rules out a line in the cone, so the LP is only needed without one.
-        margin = POINTED_CERT_MARGIN * max(1.0, norms.max())
-        certified = sn > 0 and np.min(gens @ (s / sn)) > margin
-        if not certified and not _is_pointed(gens):
-            raise ConeValidationError("cone is not pointed (contains a line)")
-
-        if self.dual_generators is None:
-            if m > FACET_ENUM_MAX_DIM:
-                raise InputError(
-                    f"dual generators must be supplied for ambient_dim > {FACET_ENUM_MAX_DIM}"
-                )
-            duals = _enumerate_facet_normals(gens, self.tol)
-        else:
+        if self.dual_generators is not None:
             duals = _as_matrix(self.dual_generators, m, "dual_generators")
             dnorms = np.linalg.norm(duals, axis=1)
             if np.any(dnorms <= self.tol):
                 raise InputError("dual_generators must be nonzero")
             duals = duals / dnorms[:, None]
-            if np.any(gens @ duals.T < -DUAL_VALIDITY_TOL):
-                raise ConeValidationError("supplied dual generators are not valid for the generators")
-            if m <= FACET_ENUM_MAX_DIM:
-                facets = _enumerate_facet_normals(gens, self.tol)
-                gaps = np.linalg.norm(facets[:, None, :] - duals[None, :, :], axis=2)
-                if np.any(gaps.min(axis=1) > DUAL_VALIDITY_TOL):
-                    raise ConeValidationError(
-                        "supplied dual generators miss a facet normal of the cone")
+        elif m > FACET_ENUM_MAX_DIM:
+            raise InputError(
+                f"dual generators must be supplied for ambient_dim > {FACET_ENUM_MAX_DIM}")
+        facets = duals if m > FACET_ENUM_MAX_DIM else _dual_cone_generators(units, self.tol)
+
+        s = units.sum(axis=0)
+        sn = np.linalg.norm(s)
+        # C is pointed iff C* is solid (Boyd and Vandenberghe, 2.6.1), i.e. iff
+        # generators of C* span R^m; Gordan's alternative, a functional
+        # positive on every generator, proves it without them.
+        certified = sn > 0 and np.min(units @ (s / sn)) > POINTED_CERT_MARGIN
+        if not certified and np.linalg.matrix_rank(facets) < m:
+            raise ConeValidationError("cone is not pointed (contains a line)")
+
+        if self.dual_generators is None:
+            duals = _enumerate_facet_normals(gens, self.tol)
+            if duals.shape[0] == 0:
+                raise ConeValidationError("facet enumeration found no valid facet normals")
+        if np.any(np.vstack([gens, units]) @ duals.T < -DUAL_VALIDITY_TOL):
+            raise ConeValidationError("dual generators are not valid for the generators")
 
         if self.k0 is None:
             if sn <= self.tol:
@@ -201,11 +194,14 @@ class OrderingCone:
             k0 = np.array(self.k0, dtype=float).reshape(-1)
             if k0.shape != (m,):
                 raise InputError(f"k0 must have length {m}")
-
         if np.any(duals @ k0 <= self.tol):
             raise NotInteriorPoint(
                 "k0 is not strictly interior (cone may not be solid, or k0 badly chosen)"
             )
+
+        gaps = np.linalg.norm(facets[:, None, :] - duals[None, :, :], axis=2)
+        if np.any(gaps.min(axis=1) > DUAL_VALIDITY_TOL):
+            raise ConeValidationError("dual generators miss a facet normal of the cone")
 
         for name, arr in (("generators", gens), ("dual_generators", duals), ("k0", k0)):
             arr = np.ascontiguousarray(arr)

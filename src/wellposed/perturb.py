@@ -147,8 +147,9 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
     evaluated, raises InputError.  The descent and uniqueness checks allow
     a slack of EKELAND_TOL.
     """
-    if epsilon <= 0 or r <= 0:
-        raise InputError("epsilon and r must be positive")
+    for name, value in (("epsilon", epsilon), ("r", r)):
+        if not 0 < value < np.inf:
+            raise InputError(f"{name} must be positive and finite, got {value}")
     total = sp.domain.lattice_size(grid_resolution)
     points = sp.domain.lattice(grid_resolution)
     if values is None:
@@ -267,8 +268,8 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201, seed=0)
     step on the linear scalarization, add the Ekeland cone term, and verify
     efficiency, DH evidence, and all metric budgets.
     """
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise InputError(f"sigma must be positive and finite, got {sigma}")
     anchor = problem.domain.center
 
     search = find_bounding_functional(problem, seed=seed)
@@ -377,6 +378,8 @@ def genericity_probe(problems, sigma, n_max=8, grid_resolution=201, seed=0) -> P
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
+    if not 0 < sigma < np.inf:
+        raise InputError(f"sigma must be positive and finite, got {sigma}")
     members = []
     certified = 0
     for k, p in enumerate(problems):

@@ -7,6 +7,8 @@ code.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 from scipy.optimize import linprog
@@ -98,6 +100,48 @@ def game_value(matrix):
                   method="highs")
     assert res.success, res.message
     return float(res.x[-1])
+
+
+
+def cone_is_pointed(generators):
+    """Pointedness of cone(generators) by one LP on the unit-normalized
+    generators: the cone contains a line iff a convex combination of
+    generators is the negative of a nonnegative combination of them."""
+    g = np.asarray(generators, dtype=float)
+    u = g / np.linalg.norm(g, axis=1)[:, None]
+    n, m = u.shape
+    a_eq = np.vstack([np.hstack([u.T, u.T]), np.concatenate([np.ones(n), np.zeros(n)])])
+    b_eq = np.concatenate([np.zeros(m), [1.0]])
+    res = linprog(np.zeros(2 * n), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    return not res.success
+
+
+def _int_det(rows):
+    """Determinant of a square integer matrix by cofactor expansion, exactly."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * _int_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def integer_facet_normals(generators):
+    """Unit facet normals of a solid cone with integer generators, in exact
+    integer arithmetic: the generalized cross product of every m-1 of them,
+    kept in each orientation that is nonnegative on every generator."""
+    g = [[int(v) for v in row] for row in generators]
+    m = len(g[0])
+    found = set()
+    for rows in combinations(g, m - 1):
+        normal = [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(m)]
+        if not any(normal):
+            continue
+        step = gcd(*normal)
+        for sign in (step, -step):
+            n = tuple(c // sign for c in normal)
+            if all(sum(a * b for a, b in zip(n, r)) >= 0 for r in g):
+                found.add(n)
+    normals = np.array(sorted(found), dtype=float).reshape(-1, m)
+    return normals / np.linalg.norm(normals, axis=1)[:, None]
 
 
 def evp_violations(values, points, x_hat, x_start, epsilon, r, spacing):

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,21 @@ def test_zero_grid_and_n_are_not_replaced_by_defaults(tmp_path, argv, reason):
     code, text = run_cli(tmp_path, *argv)
     assert code == 2
     assert parse_records(text)[0]["reason"] == reason
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--problem", "x-minus-xex", "--sigma", "nan"],
+    ["pipeline", "--problem", "x-x2", "--sigma", "nan"],
+    ["pipeline", "--problem", "x-x2", "--sigma", "inf"],
+], ids=["probe-nan", "pipeline-nan", "pipeline-inf"])
+def test_non_finite_sigma_is_refused_by_name(tmp_path, argv):
+    # probe once reported sigma=nan with exit 0, and pipeline blamed the
+    # Ekeland start value or the perturbation amplitude
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(tmp_path, *argv)
+    assert code == 2
+    assert parse_records(text)[0]["reason"] == f"sigma must be positive and finite, got {argv[-1]}"
 
 
 def test_config_file_problem(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from wellposed import (
     registry,
 )
 from wellposed import cone as cone_module
+
+from oracles import cone_is_pointed, integer_facet_normals
 
 DIAGNOSE3D = Path(__file__).resolve().parents[1] / "bench" / "diagnose3d.yaml"
 
@@ -96,24 +99,17 @@ def test_rejects_non_pointed_cone():
         OrderingCone(2, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
 
 
-def test_non_pointed_cone_is_decided_by_the_lp(monkeypatch):
-    calls = []
-    lp = cone_module._is_pointed
-    monkeypatch.setattr(cone_module, "_is_pointed", lambda g: calls.append(g) or lp(g))
-    with pytest.raises(ConeValidationError, match="not pointed"):
-        OrderingCone(2, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    assert len(calls) == 1
+def test_non_pointed_cone_is_refused_without_an_lp(monkeypatch):
+    import scipy.optimize
 
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the cone constructor ran an LP")
 
-def test_certified_cones_build_without_the_lp(monkeypatch):
-    def no_lp(generators):
-        raise AssertionError("pointedness LP called for a certified cone")
-
-    monkeypatch.setattr(cone_module, "_is_pointed", no_lp)
-    for m in range(1, 5):
-        assert orthant(m).ambient_dim == m
-    OrderingCone(2, [[1.0, 0.0], [1.0, 2.0]])
-    assert load_problem(DIAGNOSE3D).cone.generators.shape == (6, 3)
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+    for gens in ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [-1.0, 0.0]],
+                 [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]):
+        with pytest.raises(ConeValidationError, match="not pointed"):
+            OrderingCone(2, gens)
 
 
 @pytest.mark.parametrize("m, duals", [
@@ -146,46 +142,86 @@ def test_complete_supplied_duals_still_build(tmp_path):
     assert load_problem(cfg).cone.dual_generators.shape == (2, 2)
 
 
-@pytest.mark.parametrize("gens", [
-    1e-7 * np.array([[1.0, 0.01], [-1.0, 0.01]]),
-    np.array([[0.0, 2e-6, 0.0], [-2e-6, 0.0, 0.0], [1e-3, 0.0, 2e-3], [0.0, 0.0, 1e-3],
-              [-1e9, 0.0, -1e9]]),
-])
-def test_lp_rejection_of_badly_scaled_cone_is_kept(gens):
-    # both cones are pointed, but the LP's absolute tolerances reject them
-    # (tiny generators; lengths from 1e-6 to 1e9), and the skip must not
-    # accept what the LP rejects
-    assert not cone_module._is_pointed(gens)
+def test_tiny_pointed_cone_is_accepted_with_its_unit_scale_facet_normals():
+    # both generators are positive on e2; a pointedness LP with absolute
+    # tolerances called this cone one that contains a line
+    c = OrderingCone(2, 1e-7 * np.array([[1.0, 0.01], [-1.0, 0.01]]))
+    facets = np.array([[-0.01, 1.0], [0.01, 1.0]]) / np.hypot(0.01, 1.0)
+    gaps = np.linalg.norm(facets[:, None, :] - c.dual_generators[None, :, :], axis=2)
+    assert gaps.shape == (2, 2) and gaps.min(axis=1).max() <= cone_module.DUAL_VALIDITY_TOL
+
+
+def test_badly_scaled_cone_containing_a_line_is_refused():
+    # (2e6, 1e6) and (-2e3, -1e3) span the line through (2, 1); the other
+    # generators lie on one side of it, so the cone is a half-plane
+    gens = [[2e6, 1e6], [-3e-6, 0.0], [0.0, 3e9], [-3e-6, 2e-6], [-2e3, -1e3]]
     with pytest.raises(ConeValidationError, match="not pointed"):
-        OrderingCone(gens.shape[1], gens)
+        OrderingCone(2, gens)
+
+
+@pytest.mark.parametrize("gens", [
+    [[0.0, 2e-6, 0.0], [-2e-6, 0.0, 0.0], [1e-3, 0.0, 2e-3], [0.0, 0.0, 1e-3], [-1e9, 0.0, -1e9]],
+    [[2e3, 3e3, -1e3], [0.0, 0.0, 3e9], [-2e-8, 0.0, -3e-8], [-1.0, 3.0, 1.0]],
+], ids=["lengths-2e-6-to-1e9", "lengths-4e-8-to-3e9"])
+def test_raw_duals_missing_a_unit_facet_normal_are_refused(gens):
+    # both cones are pointed and solid, but the facet enumeration on the raw
+    # generators tests nonnegativity with an absolute tolerance, so it keeps
+    # too few normals (the second cone got 2, and contained v and -v)
+    gens = np.array(gens)
+    unit = gens / np.linalg.norm(gens, axis=1)[:, None]
+    assert cone_is_pointed(gens)
+    assert cone_module._enumerate_facet_normals(unit, 1e-9).shape[0] > 2
+    with pytest.raises(ConeValidationError, match="miss a facet normal"):
+        OrderingCone(3, gens)
 
 
 def _pointedness_verdict(m, gens):
+    """The constructor's outcome: an OrderingCone, or the message it raised."""
     try:
-        OrderingCone(m, gens)
-    except ConeValidationError as exc:
-        if "not pointed" in str(exc):
-            return False
-    except InputError:
-        pass  # raised after the pointedness check: facets, solidity, k0
-    return True
+        return OrderingCone(m, gens)
+    except InputError as exc:
+        return str(exc)
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.integers(2, 4), st.data())
-def test_constructor_agrees_with_pointedness_lp(m, data):
+def _random_integer_generators(m, data):
     n = data.draw(st.integers(1, 5))
     entries = data.draw(st.lists(st.integers(-3, 3), min_size=n * m, max_size=n * m))
     gens = np.array(entries, dtype=float).reshape(n, m)
     if data.draw(st.booleans()):
         gens = np.vstack([gens, -gens[data.draw(st.integers(0, n - 1))]])
-    # lengths from tiny to huge, mixed within one set: the LP's absolute
-    # tolerances reject some pointed cones there, and so must the constructor
+    assume(np.all(np.any(gens != 0, axis=1)))
+    return gens
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(2, 4), st.data())
+def test_constructor_agrees_with_pointedness_lp(m, data):
+    gens = _random_integer_generators(m, data)
+    verdict = _pointedness_verdict(m, gens)
+    refused_as_line = isinstance(verdict, str) and "not pointed" in verdict
+    assert refused_as_line != cone_is_pointed(gens)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, 4), st.data())
+def test_scaled_generators_keep_pointedness_and_facet_normals(m, data):
+    # the cone does not change when a generator is rescaled, so neither may
+    # the verdict: lengths from tiny to huge, mixed within one set
+    gens = _random_integer_generators(m, data)
     lengths = st.sampled_from([1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])
-    gens = gens * np.array(data.draw(st.lists(lengths, min_size=len(gens),
-                                              max_size=len(gens))))[:, None]
-    assume(np.all(np.linalg.norm(gens, axis=1) > 1e-9))
-    assert _pointedness_verdict(m, gens) == cone_module._is_pointed(gens)
+    scaled = gens * np.array(data.draw(st.lists(lengths, min_size=len(gens),
+                                                max_size=len(gens))))[:, None]
+    verdict = _pointedness_verdict(m, scaled)
+    if not cone_is_pointed(gens):
+        assert isinstance(verdict, str) and "not pointed" in verdict
+        return
+    if isinstance(verdict, str):
+        assert "not pointed" not in verdict
+        return
+    facets = integer_facet_normals(gens)
+    gaps = np.linalg.norm(facets[:, None, :] - verdict.dual_generators[None, :, :], axis=2)
+    assert gaps.min(axis=1).max() <= cone_module.DUAL_VALIDITY_TOL
+    assert (verdict.unit_generators @ verdict.dual_generators.T).min() >= -cone_module.DUAL_VALIDITY_TOL
 
 
 def test_rejects_exterior_k0():
@@ -278,3 +314,67 @@ def test_margin_batch_matches_single():
     batch = c.contains_batch(pts)
     single = np.array([c.contains(p) for p in pts])
     np.testing.assert_array_equal(batch, single)
+
+
+# sha256 of each cone's generators, dual generators and k0 (dtype, shape and
+# bytes), recorded before pointedness moved from an LP to the facet
+# enumeration on unit generators; "... dual" is the cone's dual_cone()
+CONE_DIGESTS = {
+    "registry zero-function": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry x-minus-x": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry quad-pair": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry x-x2": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry x-minus-xex": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry biquad": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry abs-pair": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry exp-linear": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry quad-2d": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry skew-cone-quad": "011a320b3c2c595d0de4735f8d6be9abb933d0fb9e75dc8dce9e0eae6a332eba",
+    "registry hilbert-truncation-2": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "bench/diagnose3d.yaml": "9c3cf28047390351d28b3480010b09f36cd7b50a7bb0dbec06a1434aac34bf37",
+    "orthant(1)": "cd6fbf170df0a6db1033525f538f0290ecdfdd99b499cd307761b7973812da08",
+    "orthant(2)": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "orthant(3)": "832dc495b9abb4d576a0058c14e7c6e8115a23335971ba758b3813545687ac50",
+    "orthant(4)": "b07aad22b530481185011ad8fc6dbc5399270f732b16dc94f615463c6a157f5e",
+    "orthant(5)": "0a1236e00070ed4cbd877eaf14db48966893968909d2a8bf6279dfc68829be98",
+    "orthant(6)": "4760e345deb36c5cf9096c7c1af3b6f63ae1db4fc9872c8c1f55c081836a82d5",
+    "skew": "41fcb2e00dd48aa3619f10ee3230f7daeb67f19fcd0a44763be624bc322eba59",
+    "registry zero-function dual": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry x-minus-x dual": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry quad-pair dual": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry x-x2 dual": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry x-minus-xex dual": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry biquad dual": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry abs-pair dual": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry exp-linear dual": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry quad-2d dual": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "registry skew-cone-quad dual": "7e6e4878726eb13650afb373396c05b20577fc42bf6217386e0c98ca69c81361",
+    "registry hilbert-truncation-2 dual": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "bench/diagnose3d.yaml dual": "3dd91f51dd211fac560b3e405fad391bb3b361822a68a9e4b215d9b7ef201547",
+    "orthant(1) dual": "cd6fbf170df0a6db1033525f538f0290ecdfdd99b499cd307761b7973812da08",
+    "orthant(2) dual": "ce4409a09e27282f0a66f44f90d11ec12d6ea4332883babd4b51b309e689b0b5",
+    "orthant(3) dual": "832dc495b9abb4d576a0058c14e7c6e8115a23335971ba758b3813545687ac50",
+    "orthant(4) dual": "b07aad22b530481185011ad8fc6dbc5399270f732b16dc94f615463c6a157f5e",
+    "orthant(5) dual": "0a1236e00070ed4cbd877eaf14db48966893968909d2a8bf6279dfc68829be98",
+    "orthant(6) dual": "4760e345deb36c5cf9096c7c1af3b6f63ae1db4fc9872c8c1f55c081836a82d5",
+    "skew dual": "319d892317f11b48781ba00c58bc9b7e19a592c77ac19e3e43ae8c65d81e2f16",
+}
+
+
+def cone_digest(cone):
+    h = hashlib.sha256()
+    for arr in (cone.generators, cone.dual_generators, cone.k0):
+        h.update(repr((arr.dtype.str, arr.shape)).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_cone_arrays_match_recorded_digests():
+    cones = {f"registry {e.label}": e.build().cone for e in registry.ENTRIES}
+    cones["bench/diagnose3d.yaml"] = load_problem(DIAGNOSE3D).cone
+    cones.update({f"orthant({m})": orthant(m) for m in range(1, 7)})
+    cones["skew"] = OrderingCone(2, [[1.0, 0.0], [1.0, 1.0]])  # the distance demo's cone
+    cones.update({f"{name} dual": c.dual_cone() for name, c in list(cones.items())})
+    assert set(cones) == set(CONE_DIGESTS)
+    for name, c in cones.items():
+        assert cone_digest(c) == CONE_DIGESTS[name], name

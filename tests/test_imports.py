@@ -26,6 +26,14 @@ def test_import_loads_no_scipy_or_yaml():
     assert _loaded_after("import wellposed") == []
 
 
+def test_cone_build_loads_no_scipy():
+    # no functional is clearly positive on all three generators, so no
+    # Gordan certificate skips the pointedness test
+    assert _loaded_after(
+        "from wellposed import OrderingCone\n"
+        "OrderingCone(2, [[1.0, 0.0], [-1.0, 0.1], [-1.0, 0.2]])") == []
+
+
 # every README command, with a line its report must hold
 README_COMMANDS = [
     (["classify", "--problem", "biquad", "--point", "0.3"], "record=classification"),

@@ -197,6 +197,26 @@ def test_ekeland_refuses_non_finite_values_given_or_evaluated():
         ekeland_point(sp, [0.5], 0.05, 5.0, grid_resolution=201)
 
 
+@pytest.mark.parametrize("epsilon, r, name", [
+    (1.0, float("inf"), "r"), (0.1, float("nan"), "r"),
+    (float("nan"), 1.0, "epsilon"), (float("inf"), 1.0, "epsilon"),
+])
+def test_ekeland_refuses_non_finite_epsilon_and_r(epsilon, r, name):
+    # an infinite r once gave a result with within_radius=True
+    sp = scalar_problem(lambda t: (t - 0.5) ** 2, [-2.0], [2.0])
+    with pytest.raises(InputError, match=f"^{name} must be positive and finite"):
+        ekeland_point(sp, [0.5], epsilon, r, grid_resolution=201)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0])
+def test_pipeline_and_probe_refuse_sigma_outside_the_positive_reals(sigma):
+    with pytest.raises(InputError, match="^sigma must be positive and finite"):
+        density_pipeline(registry.get("x-x2").build(), sigma, grid_resolution=201)
+    # before any work: an empty family is refused too
+    with pytest.raises(InputError, match="^sigma must be positive and finite"):
+        genericity_probe([], sigma)
+
+
 def test_pipeline_refuses_non_finite_lattice_image():
     x_nan = np.linspace(-2.0, 2.0, 201)[115]
     p = prob(lambda x: np.where(x == x_nan, np.nan, x ** 2).repeat(2, axis=1),
