@@ -123,6 +123,15 @@ def test_incomplete_supplied_duals_are_refused(m, duals):
         OrderingCone(m, np.eye(m), dual_generators=duals)
 
 
+def test_supplied_duals_are_checked_on_the_unit_generators():
+    # (1, -1) is -7e-9 on the raw generator (0, 1e-8), inside the slack, but
+    # -0.7 on its unit generator; once accepted, the cone did not contain
+    # its own generator direction (0, 1)
+    with pytest.raises(ConeValidationError, match="not valid"):
+        OrderingCone(2, [[1.0, 0.0], [0.0, 1e-8]],
+                     dual_generators=[[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]], k0=[1.0, 0.1])
+
+
 def test_complete_supplied_duals_still_build(tmp_path):
     for m in range(1, 7):
         assert orthant(m).ambient_dim == m
