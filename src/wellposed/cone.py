@@ -82,15 +82,14 @@ def _enumerate_facet_normals(generators, tol):
     what lets the solidity check below catch flat cones.
     """
     m = generators.shape[1]
+    subsets = list(itertools.combinations(range(generators.shape[0]), m - 1))
+    # nullspaces of the subsets, in one SVD call over their stack (each matrix
+    # gets the bits of a call of its own); facet normals have a 1-dim nullspace
+    stack = generators[np.array(subsets, dtype=np.intp).reshape(len(subsets), m - 1)]
+    _, s, vt = np.linalg.svd(stack, full_matrices=True)
+    rank = np.sum(s > np.maximum(s[:, :1], 1.0) * 1e-12, axis=1)
     candidates = []
-    for subset in itertools.combinations(range(generators.shape[0]), m - 1):
-        rows = generators[list(subset)]
-        # nullspace of the subset; facet normals have a 1-dim nullspace
-        _, s, vt = np.linalg.svd(rows.reshape(len(subset), m), full_matrices=True)
-        rank = int(np.sum(s > max(s[0], 1.0) * 1e-12)) if s.size else 0
-        if rank != m - 1:
-            continue
-        normal = vt[-1]
+    for normal in vt[rank == m - 1, -1]:
         normal = normal / np.linalg.norm(normal)
         prods = generators @ normal
         if np.all(prods >= -tol):

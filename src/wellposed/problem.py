@@ -27,6 +27,12 @@ LATTICE_CAP = 2_000_000
 LATTICE_BUDGET = 100_000_000
 CHUNK = 262_144
 _DIRECT_DIAMETER_MAX = 3000
+# the radius prune's slack, relative to L + R: far above the few-ulp rounding
+# of the sums and norms it compares
+_PRUNE_SLACK = 1e-9
+# below this a pair's squared sum may hold subnormal terms, whose rounding is
+# not relative, so the sweep keeps every row
+_PRUNE_FLOOR = 1e-280
 BOX_SLACK = 1e-9
 
 # function_distance is the truncated ball-sup series: the sum over
@@ -174,6 +180,19 @@ class Box:
 # diameters
 
 
+def _sq_dists(coords, centre):
+    """Squared distances of the columns of a (d, n) array to a (d,) centre,
+    summed in coordinate order as the pair sweep sums them."""
+    out = coords[0] - centre[0]
+    np.multiply(out, out, out=out)
+    sq = np.empty_like(out)
+    for k in range(1, coords.shape[0]):
+        np.subtract(coords[k], centre[k], out=sq)
+        np.multiply(sq, sq, out=sq)
+        out += sq
+    return out
+
+
 def _pairwise_max(points):
     """Largest distance between two rows of an (n, d) array, n >= 2, equal to
     scipy's pdist(points).max() bit for bit.
@@ -181,9 +200,25 @@ def _pairwise_max(points):
     pdist sums the squared coordinate differences of a pair in coordinate
     order and takes one correctly rounded sqrt, which is monotone, so the
     maximum of the sums in that order, square-rooted once, is its maximum.
-    Strips of 32 rows are swept against blocks of at most 4096 later rows
-    in two reused buffers, so beyond one transposed copy of the points the
-    memory is fixed at any n.
+
+    Rows that cannot be an end of a pair reaching a lower bound are pruned
+    first (Malandain and Boissonnat's and Har-Peled's bounds).  Up to four
+    double-normal steps, each to the row farthest from the last one, give a
+    rounded pair sum L^2 that some pair attains.  Let c be the bounding-box
+    midpoint, r_p = |p - c| and R the largest r_p.  A pair (p, q) whose
+    rounded sum reaches L^2 is at least L(1 - (d + 2)u) apart (u the unit
+    roundoff), and |p - q| <= r_p + r_q <= r_p + R by the triangle
+    inequality, so r_p >= L - R up to a few ulps of L + R, and the same for
+    q.  Only rows with r_p >= L - R - 1e-9 (L + R) are swept; the slack is
+    far above that rounding, so the pair attaining the maximum sum is kept
+    and the result is that of the sweep over every row.  Without a finite
+    L^2 above _PRUNE_FLOOR (overflowing or subnormal sums) every row is
+    swept.
+
+    Strips of 32 kept rows are swept against blocks of at most 4096 later
+    rows in two reused buffers, so beyond a transposed copy of the points,
+    its pruned copy and a few n-vectors of radii and sums the memory is
+    fixed at any n.
     """
     n, d = points.shape
     if d == 1:
@@ -192,11 +227,25 @@ def _pairwise_max(points):
         # pdist(points).max() bit for bit
         return float(points.max() - points.min())
     coords = np.ascontiguousarray(points.T)
-    acc = np.empty((min(n, 32), min(n, 4096)))
-    sq = np.empty_like(acc)
-    best = np.float64(0.0)
     # pdist's C loop raises no floating-point warnings, so neither does this
     with np.errstate(over="ignore", invalid="ignore"):
+        radius = np.sqrt(_sq_dists(coords, 0.5 * coords.min(axis=1) + 0.5 * coords.max(axis=1)))
+        i, low = int(np.argmax(radius)), 0.0
+        for _ in range(4):
+            sums = _sq_dists(coords, coords[:, i])
+            j = int(np.argmax(sums))
+            if not sums[j] > low:
+                break
+            i, low = j, sums[j]
+        if _PRUNE_FLOOR < low < np.inf:
+            bound, r_max = np.sqrt(low), radius.max()
+            # compress keeps the rows contiguous; coords[:, keep] would not
+            coords = np.compress(radius >= bound - r_max - _PRUNE_SLACK * (bound + r_max),
+                                 coords, axis=1)
+            n = coords.shape[1]
+        acc = np.empty((min(n, 32), min(n, 4096)))
+        sq = np.empty_like(acc)
+        best = np.float64(0.0)
         for s in range(0, n, 32):
             e = min(s + 32, n)
             for c in range(s, n, 4096):
@@ -240,24 +289,25 @@ def diameter(point_set):
     """Max pairwise distance of the rows of an (n, d) array; 0 for n <= 1.
 
     Rows that lie strictly inside the segment between their two neighbours
-    are dropped first (see _off_line_ends).  Up to _DIRECT_DIAMETER_MAX
-    rows the result is _pairwise_max of the kept rows, which equals scipy's
-    pdist(points).max() on all rows bit for bit, without loading scipy: a
-    dropped row shares its leading coordinates with the least and greatest
-    row of its run, so its rounded partial sum over them is the same, and
-    the rounded last term grows with the distance along the last axis, so
-    no dropped row is farther from any row than one of those two.
+    are dropped first (see _off_line_ends), and the rest go to the pruned
+    pair sweep _pairwise_max.  Up to _DIRECT_DIAMETER_MAX rows the sweep
+    runs on the original coordinates, and the result equals scipy's
+    pdist(points).max() on all rows bit for bit: a dropped row shares its
+    leading coordinates with the least and greatest row of its run, so its
+    rounded partial sum over them is the same, and the rounded last term
+    grows with the distance along the last axis, so no dropped row is
+    farther from any row than one of those two.
 
-    Larger sets are reduced to convex hull vertices (scipy.spatial's
-    ConvexHull, the only scipy this loads), after an isometric projection
-    onto the affine span so degenerate sets keep their hull; no dropped row
-    is a hull vertex, so the hull is unchanged.  Distances are then
-    measured in the projected coordinates, whose rounding depends on the
-    whole set (its row order and repeats too), so the result can differ
-    from pdist's maximum by a few ulps (up to 6.0e-16 relative where
-    measured).  The projection is computed on the full set, so every kept
-    row's coordinates, and hence the result, are those of the unreduced
-    route.
+    Larger sets are first projected isometrically onto their affine span
+    (about the mean, in the SVD basis; rank at 1e-12 of the largest singular
+    value), so a degenerate set is swept in as few coordinates as it spans;
+    a set of rank 1 is measured as the extent of its one coordinate.  The
+    result is the pdist maximum of the projected rows.  Their rounding
+    depends on the whole set (its row order and repeats too), so it can
+    differ from pdist's maximum on the original rows by a few ulps (up to
+    6.0e-16 relative where measured).  The basis is computed from every row
+    and only the kept rows are projected, each to the bits the full
+    projection gives it.  No scipy is loaded.
     """
     pts = np.atleast_2d(np.asarray(point_set, dtype=float))
     if not np.isfinite(pts).all():
@@ -267,23 +317,14 @@ def diameter(point_set):
         return 0.0
     if n <= _DIRECT_DIAMETER_MAX:
         return _pairwise_max(pts[_off_line_ends(pts)])
-    mean = pts.mean(axis=0)
-    centered = pts - mean
+    centered = pts - pts.mean(axis=0)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     rank = int(np.sum(s > max(s[0], 1.0) * 1e-12))
     if rank == 0:
         return 0.0
-    coords = centered @ vt[:rank].T
     if rank == 1:
-        return float(coords.max() - coords.min())
-    from scipy.spatial import ConvexHull, QhullError
-
-    ends = coords[_off_line_ends(pts)]
-    try:
-        hull = ConvexHull(ends)
-        return _pairwise_max(ends[hull.vertices])
-    except QhullError:
-        return _pairwise_max(coords)
+        return _pairwise_max(centered @ vt[:1].T)
+    return _pairwise_max(centered[_off_line_ends(pts)] @ vt[:rank].T)
 
 
 # ---------------------------------------------------------------------------

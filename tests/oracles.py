@@ -172,8 +172,9 @@ def correctly_rounded_power(x, k):
 
 
 def span_coords(points):
-    """The coordinates diameter's hull route measures in: about the mean, in
-    the SVD basis of the affine span (the same steps as problem.diameter)."""
+    """The coordinates diameter measures in above its direct-route size:
+    about the mean, in the SVD basis of the affine span (the same steps as
+    problem.diameter)."""
     centered = points - points.mean(axis=0)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     rank = int(np.sum(s > max(s[0], 1.0) * 1e-12))

@@ -10,6 +10,7 @@ import pytest
 import wellposed
 
 SRC = str(Path(wellposed.__file__).resolve().parents[1])
+DIAGNOSE3D = Path(__file__).resolve().parents[1] / "bench" / "diagnose3d.yaml"
 
 
 def _loaded_after(code):
@@ -71,3 +72,35 @@ def test_oriented_distance_loads_no_scipy():
         "    oriented_distance_batch(cone, [y, [-1.0] * cone.ambient_dim])\n"
         "    project_neg_cone(cone, y)")
     assert loaded == []
+
+
+def test_large_diameters_load_no_scipy():
+    # above the direct-route size diameter projects and sweeps; no hull
+    loaded = _loaded_after(
+        "import numpy as np\n"
+        "from wellposed import diameter\n"
+        "from wellposed.problem import _DIRECT_DIAMETER_MAX\n"
+        "rng = np.random.default_rng(0)\n"
+        "for d in (2, 3, 4):\n"
+        "    assert diameter(rng.standard_normal((_DIRECT_DIAMETER_MAX + 500, d))) > 0")
+    assert loaded == []
+
+
+def test_diagnose3d_diagnostics_load_no_scipy():
+    # every diagnostic the benchmark runs on this problem, at a grid whose
+    # level sets reach the projected diameter route; the problem file loads yaml
+    loaded = _loaded_after(
+        "import wellposed as wp\n"
+        "import wellposed.diagnostics as diagnostics\n"
+        "sizes, inner = [], diagnostics.diameter\n"
+        "diagnostics.diameter = lambda pts: sizes.append(len(pts)) or inner(pts)\n"
+        f"p = wp.load_problem({str(DIAGNOSE3D)!r})\n"
+        "x, res = (0.0, 0.0, 0.0), 31\n"
+        "wp.classify_point(p, x, res)\n"
+        "wp.weff_via_distance(p, x, res)\n"
+        "wp.dh_diagnostic(p, x, grid_resolution=res)\n"
+        "wp.dh_via_scalarization(p, x, grid_resolution=res)\n"
+        "linear = wp.scalarize_linear(p, p.cone.base_polytope().mean(axis=0))\n"
+        "wp.tykhonov_diagnostic(linear, grid_resolution=res)\n"
+        "assert max(sizes) > wp.problem._DIRECT_DIAMETER_MAX")
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []

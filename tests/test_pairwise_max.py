@@ -1,19 +1,20 @@
-"""The blocked pair sweep behind diameter equals scipy's pdist maximum.
+"""The pruned pair sweep behind diameter equals scipy's pdist maximum.
 
 _pairwise_max must give pdist(points).max() bit for bit on random,
 lattice and offset point sets in d = 2..10 up to the direct-route size,
-keep its working memory fixed whatever the row count, and serve
-diameter's fallback when the hull cannot be built.  diameter, which drops
-the rows strictly inside their lattice lines first, must give the same
-bits.  A scipy release that changes pdist's summation order fails here by
-name.
+and keep its working memory fixed whatever the row count.  Its radius
+prune must keep the full sweep's bits on the sets where the fewest rows
+can be dropped (spheres, simplex corners, sets of constant width,
+repeated rows, slabs and planes), on either side of the direct-route
+size.  diameter, which drops the rows strictly inside their lattice
+lines first, must give the same bits.  A scipy release that changes
+pdist's summation order fails here by name.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
@@ -79,8 +80,8 @@ def test_pairwise_max_equals_pdist_on_random_sets(kind, d, n, seed):
 
 
 def test_pairwise_max_memory_is_fixed():
-    # two 32 x 4096 buffers and a transposed copy; pdist's condensed buffer
-    # for these rows would take 400 MB
+    # two 32 x 4096 buffers, a transposed copy and a few n-vectors of radii
+    # and sums; pdist's condensed buffer for these rows would take 400 MB
     pts = np.random.default_rng(0).standard_normal((10_000, 3))
     tracemalloc.start()
     try:
@@ -92,17 +93,49 @@ def test_pairwise_max_memory_is_fixed():
     assert got == brute_max_distance(pts)
 
 
-def test_hull_failure_falls_back_to_the_pair_sweep(monkeypatch):
-    refused = []
+def reuleaux_lattice(res):
+    """Lattice points of [-1, 1]^2 inside the Reuleaux triangle of width 2 on
+    an equilateral triangle centred at the origin: a set of constant width,
+    whose every boundary point has a partner at the diameter."""
+    grid = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])).lattice(res)
+    angles = np.pi / 2 + 2 * np.pi / 3 * np.arange(3)
+    corners = (2 / np.sqrt(3)) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    inside = np.all(np.linalg.norm(grid[:, None] - corners[None], axis=2) <= 2.0, axis=1)
+    return grid[inside]
 
-    def no_hull(points):
-        refused.append(len(points))
-        raise scipy.spatial.QhullError("refused for the test")
 
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", no_hull)
+def prune_hard_sets(rng):
+    """A random cloud and the sets that stress the radius prune: rows about
+    as far from the bounding-box centre as the farthest pair allows
+    (spheres, simplex corners, constant width), exact ties (repeated rows)
+    and flat sets (slabs and planes)."""
+    yield "random cloud", rng.standard_normal((3200, 3))
+    for n, d in ((2000, 3), (3600, 3), (3200, 4)):
+        v = rng.standard_normal((n, d))
+        yield f"sphere {n}x{d}", v / np.linalg.norm(v, axis=1)[:, None]
+    for res in (15, 12):  # 3,060 and 1,365 rows
+        lattice = Box(np.zeros(4), np.ones(4)).lattice(res)
+        yield f"simplex corner {res}", lattice[lattice.sum(axis=1) <= 1.0 + 1e-12]
+    yield "reuleaux 81", reuleaux_lattice(81)
+    yield "reuleaux 51", reuleaux_lattice(51)
+    pair = np.array([[0.25, -1.5, 2.0], [1.75, 0.5, -0.5]])
+    yield "two rows repeated", np.tile(pair, (1700, 1))
+    cloud = rng.standard_normal((1100, 3))
+    yield "cloud repeated", np.repeat(cloud, 3, axis=0)
+    u, w = np.meshgrid(np.linspace(-1, 1, 61), np.linspace(0, 2, 61), indexing="ij")
+    yield "plane in R^3", np.stack([u.ravel(), w.ravel(), 0.3 * u.ravel() - w.ravel()], axis=1)
+    yield "slab", np.stack([u.ravel(), w.ravel(), 1e-7 * rng.standard_normal(u.size)], axis=1)
+    basis = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+    yield "plane in R^4", (rng.standard_normal((3100, 2)) @ basis.T) + 5.0
+
+
+def test_pruned_sweep_equals_the_full_sweep():
     rng = np.random.default_rng(7)
-    pts = rng.standard_normal((3200, 3))
-    assert pts.shape[0] > _DIRECT_DIAMETER_MAX
-    # the fallback measures in the coordinates of diameter's hull route
-    assert diameter(pts) == brute_max_distance(span_coords(pts))
-    assert refused == [len(pts)]  # no row of a random cloud lies inside a lattice line
+    for name, pts in prune_hard_sets(rng):
+        want = brute_max_distance(pts)
+        assert _pairwise_max(pts) == want, name
+        if pts.shape[0] > _DIRECT_DIAMETER_MAX:
+            # diameter measures in the coordinates of the affine span
+            assert diameter(pts) == brute_max_distance(span_coords(pts)), name
+        else:
+            assert diameter(pts) == want, name

@@ -31,6 +31,7 @@ from wellposed.problem import (
     METRIC_TAIL,
     METRIC_TRUNCATION,
     _off_line_ends,
+    _pairwise_max,
 )
 
 from oracles import brute_max_distance, metric_series, span_coords
@@ -107,7 +108,7 @@ def test_box_membership_allows_a_fixed_slack():
 @pytest.mark.parametrize("n", [5, _DIRECT_DIAMETER_MAX + 1])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_diameter_refuses_non_finite_rows(n, bad):
-    # the pair sweep would return nan and the hull route's SVD would fail to
+    # the pair sweep would return nan and the projection's SVD would fail to
     # converge; both sizes refuse before either route runs
     pts = np.random.default_rng(0).normal(size=(n, 3))
     pts[n // 2, 1] = bad
@@ -140,12 +141,31 @@ def test_diameter_of_square_lattice_is_corner_pair():
     assert diameter(box.lattice(21)) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
 
 
-def test_diameter_dense_cloud_matches_hull_route():
-    # above the pairwise-distance cutoff the hull path must give the same answer
+def test_diameter_dense_cloud_matches_the_pair_maximum():
+    # above the pairwise-distance cutoff the pruned sweep in the projected
+    # coordinates must give the maximum over every pair
     rng = np.random.default_rng(0)
     cloud = rng.normal(size=(5000, 2))
     far = np.linalg.norm(cloud[:, None, :2] - cloud[None, :500, :2], axis=2).max()
     assert diameter(cloud) >= far - 1e-12
+    assert diameter(cloud) == brute_max_distance(span_coords(cloud))
+
+
+def test_projecting_only_the_kept_ends_gives_the_full_projection_bits():
+    # diameter projects only the rows _off_line_ends keeps; each must get
+    # the bits the projection of every row gives it
+    rng = np.random.default_rng(11)
+    sets = [pts for seed in range(2) for pts in lattice_subsets(seed)]
+    sets += [rng.standard_normal((3100, d)) * 10.0 ** rng.uniform(-3, 3) for d in (2, 3, 4, 6)]
+    for pts in sets:
+        keep = _off_line_ends(pts)
+        centered = pts - pts.mean(axis=0)
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        rank = int(np.sum(s > max(s[0], 1.0) * 1e-12))
+        full = span_coords(pts)
+        assert full.shape[1] == rank >= 2
+        assert (centered[keep] @ vt[:rank].T).tobytes() == full[keep].tobytes()
+        assert diameter(pts) == _pairwise_max(full[keep])
 
 
 def test_diameter_of_many_identical_rows_is_zero():
@@ -168,9 +188,9 @@ def assert_endpoint_reduction_exact(monkeypatch, points, brute=True):
     got = diameter(points)
     with monkeypatch.context() as m:
         m.setattr(problem_module, "_off_line_ends", lambda p: np.ones(len(p), dtype=bool))
-        assert got == diameter(points)  # the unreduced hull route, bit for bit
+        assert got == diameter(points)  # the unreduced route, bit for bit
     if brute:
-        # every pair, in the coordinates the hull route measures in
+        # every pair, in the coordinates the projected route measures in
         assert got == brute_max_distance(span_coords(points))
         # and in the original coordinates, up to the rounding of the rotation
         assert abs(got - brute_max_distance(points)) <= 1e-14 * got
