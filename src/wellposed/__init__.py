@@ -5,12 +5,7 @@ classification, scalar and vector well-posedness diagnostics, and
 regularization pipelines that certify a nearby well-posed problem.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("wellposed")
-except PackageNotFoundError:
-    __version__ = "0.1.0"
+__version__ = "0.1.0"  # [project] version in pyproject.toml; tests/test_imports.py checks it
 
 from .errors import (
     WellposedError,

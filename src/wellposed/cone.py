@@ -227,10 +227,6 @@ class OrderingCone:
             raise InputError(f"expected points of length {self.ambient_dim}")
         return row_min(pts @ self.dual_generators.T)
 
-    def contains_batch(self, points):
-        """(n,) non-strict cone membership of each row."""
-        return self.margins(points) >= -self.tol
-
     # -- dual objects ----------------------------------------------------
 
     @cached_property

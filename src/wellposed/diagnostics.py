@@ -14,13 +14,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._rows import row_all_le, row_norm, row_sub
+from ._rows import row_norm, row_sub
 from .distance import _oriented_distance_upto
 from .errors import HypothesisNotMet, InputError, NotInteriorPoint, WellposedError
 from .problem import (
     LATTICE_CAP,
     ScalarProblem,
     VectorProblem,
+    _level_members,
+    _nested_members,
     diameter,
     finite_image,
     lattice_image,
@@ -61,25 +63,6 @@ def _validate_schedule(schedule, what):
     if s.size == 0 or not np.isfinite(s).all() or np.any(s <= 0) or np.any(np.diff(s) >= 0):
         raise InputError(f"{what} must be a finite decreasing positive schedule")
     return s
-
-
-def _nested_members(rows, bounds):
-    """Flat indices of the rows <= each bound row componentwise, level by level.
-
-    A row that fails one level has a component above that level's bound, or
-    a NaN; when the next bound row is componentwise <= the previous one, that
-    component is above the next bound too.  Such a level is tested only on
-    the members of the level before, and any other level on all rows, so
-    every level's members equal np.all(rows <= bound, axis=1) by construction.
-    """
-    members, prev = None, None
-    for bound in bounds:
-        if members is None or not np.all(bound <= prev):
-            members = np.flatnonzero(row_all_le(rows, bound))
-        else:
-            members = members[row_all_le(rows[members], bound)]
-        prev = bound
-        yield members
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +315,12 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
     reads only classify_point's domination rule (_dominated), and
     HypothesisNotMet is raised if some lattice point dominates x_bar.
 
-    Up to the store cap the dual-generator margins <g, f(x)> of the whole
-    lattice are kept, and along each direction the levels are walked
-    nested: for interior c the bound rows <g, f(x_bar) + alpha*c> + tol
-    shrink with alpha, so a point outside one level is outside every later
-    one, and each level is tested only on the members of the level before.
-    Where rounding makes a bound row grow, that level is tested on every
-    point, so the members equal the per-level test exactly.  Above the cap,
-    one level_set pass per direction tests all of its levels.  A non-finite
-    lattice image raises InputError on both paths.
+    Along each direction the levels are walked nested by level_set's rule
+    on the products <g, f(x)> with the dual generators g (_level_members).
+    The routes differ only in where those products come from: up to the
+    store cap the whole lattice's are kept for every direction, above it one
+    level_set pass per direction streams them, so both give the same
+    members.  A non-finite lattice image raises InputError on both.
     """
     x_bar, f_bar = finite_image(problem, x_bar)
     schedule = _validate_schedule(
@@ -369,9 +349,8 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
         img_margins = box.map_lattice(
             grid_resolution, lambda pts: lattice_image(problem, pts) @ cone.dual_generators.T)
         for j, c in enumerate(dirs):
-            bounds = (cone.dual_generators @ (f_bar + alpha * c) + cone.tol
-                      for alpha in schedule)
-            for i, members in enumerate(_nested_members(img_margins, bounds)):
+            levels = (f_bar + alpha * c for alpha in schedule)
+            for i, members in enumerate(_level_members(cone, img_margins, levels)):
                 counts[i, j] = members.size
                 if members.size:
                     diams[i, j] = diameter(box.lattice_points_at(grid_resolution, members))

@@ -10,6 +10,7 @@ raise instead of silently returning.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -240,6 +241,7 @@ def _smallest_feasible_j(problem, sigma, anchor, k0r):
     def build(j):
         return replace(perturb(problem, 1.0 / j, anchor, k0r), label=f"{problem.label}+base")
 
+    @cache  # the answer is always a j already probed
     def dist(j):
         return function_distance(problem, build(j))
 

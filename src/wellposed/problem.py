@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rows import row_all_eq, row_norm, row_sub
+from ._rows import row_all_eq, row_all_le, row_norm, row_sub
 from .cone import OrderingCone
 from .distance import oriented_distance_batch
 from .errors import InputError, NotInteriorPoint
@@ -513,16 +513,42 @@ def scalarize_oriented(problem: VectorProblem, x_bar) -> ScalarProblem:
 # level sets
 
 
+def _nested_members(rows, bounds):
+    """Flat indices of the rows <= each bound row componentwise, level by level.
+
+    A row that fails one level has a component above that level's bound, or
+    a NaN; when the next bound row is componentwise <= the previous one, that
+    component is above the next bound too.  Such a level is tested only on
+    the members of the level before, and any other level on all rows, so
+    every level's members equal np.all(rows <= bound, axis=1) by construction.
+    """
+    members, prev = None, None
+    for bound in bounds:
+        if members is None or not np.all(bound <= prev):
+            members = np.flatnonzero(row_all_le(rows, bound))
+        else:
+            members = members[row_all_le(rows[members], bound)]
+        prev = bound
+        yield members
+
+
+def _level_members(cone, prods, levels):
+    """Flat indices of the rows of prods, the products <g, f(x)> with the
+    dual generators g, for which f(x) <=_C y, one array per level y: every
+    <g, f(x)> <= <g, y> + tol, walked nested (_nested_members)."""
+    return _nested_members(prods, (cone.dual_generators @ y + cone.tol for y in levels))
+
+
 def level_set(problem: VectorProblem, y, grid_resolution):
-    """Lattice points x with f(x) <=_C y (non-strict membership of y - f(x)),
-    as a (k, decision_dim) array in flat-index order.
+    """Lattice points x with f(x) <=_C y, as a (k, decision_dim) array in
+    flat-index order, by _level_members' rule, which dh_diagnostic shares.
 
     y is one (m,) level vector, or an (L, m) stack of them, for which the
-    list of the L level sets comes from one lattice pass: each chunk is
-    evaluated once and every level runs its own membership test on that
-    image, so each set has the bits of a pass of its own.  Only member flat
-    indices are kept during the pass.  A non-finite level or lattice image
-    raises InputError.
+    list of the L level sets comes from one lattice pass: each chunk's
+    products are formed once and the levels walked nested over them, so each
+    set has the bits of a pass of its own.  Only member flat indices are
+    kept during the pass.  A non-finite level or lattice image raises
+    InputError.
     """
     levels = np.asarray(y, dtype=float)
     stack = np.atleast_2d(levels)
@@ -534,9 +560,9 @@ def level_set(problem: VectorProblem, y, grid_resolution):
     members = [[] for _ in stack]
     with np.errstate(over="ignore", invalid="ignore"):
         for pts, start in box.iter_lattice(grid_resolution):
-            img = lattice_image(problem, pts)
-            for level, found in zip(stack, members):
-                found.append(start + np.flatnonzero(cone.contains_batch(row_sub(level, img))))
+            prods = lattice_image(problem, pts) @ cone.dual_generators.T
+            for found, sel in zip(members, _level_members(cone, prods, stack)):
+                found.append(start + sel)
     sets = [box.lattice_points_at(grid_resolution, np.concatenate(found)) for found in members]
     return sets if levels.ndim == 2 else sets[0]
 

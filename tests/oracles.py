@@ -203,3 +203,40 @@ def dominated_on_lattice(images, f_bar, dual_generators, hard_tol, tol):
     margins = ((f_bar[None, :] - images) @ np.asarray(dual_generators, dtype=float).T).min(axis=1)
     sizes = np.linalg.norm(images - f_bar[None, :], axis=1)
     return bool(np.any((margins >= -hard_tol) & (sizes > tol)) or np.any(margins > tol))
+
+
+def exact_level_members(images, levels, dual_generators, tol, band=1e-12):
+    """Level-set membership f(x) <=_C y in exact Fraction arithmetic on the
+    float images, levels and dual generators: the image of row i lies in the
+    level y when min over g of <g, y> - <g, f(x_i)> >= -tol exactly.
+
+    Returns (members, undecided), (L, n) bool arrays.  A row is undecided at
+    a level when that exact margin lies within band * (|y|_1 + |f(x_i)|_1 +
+    tol) of -tol, where rounding the products may decide it either way.
+    """
+    images = np.asarray(images, dtype=float)
+    levels = np.atleast_2d(np.asarray(levels, dtype=float))
+    gens = [[Fraction(v) for v in g] for g in np.asarray(dual_generators, dtype=float)]
+
+    def products(rows):
+        return [[sum(a * Fraction(v) for a, v in zip(g, row)) for g in gens] for row in rows]
+
+    prods, bounds, floor = products(images), products(levels), -Fraction(tol)
+    # every value is a dyadic rational, so over the largest denominator each
+    # comparison is one between integers
+    den = max(q.denominator for row in prods + bounds for q in row + [floor])
+
+    def numerators(row):
+        return [q.numerator * (den // q.denominator) for q in row]
+
+    prods, bounds = [numerators(row) for row in prods], [numerators(row) for row in bounds]
+    floor = floor.numerator * (den // floor.denominator)
+    members = np.zeros((len(levels), len(images)), dtype=bool)
+    gaps = np.zeros(members.shape)
+    for k, bound in enumerate(bounds):
+        for i, prod in enumerate(prods):
+            margin = min(b - q for b, q in zip(bound, prod))
+            members[k, i] = margin >= floor
+            gaps[k, i] = abs(margin - floor) / den  # int / int rounds once
+    widths = band * (np.abs(levels).sum(axis=1)[:, None] + np.abs(images).sum(axis=1) + tol)
+    return members, gaps <= widths

@@ -34,10 +34,9 @@ from wellposed import (
 )
 from wellposed import diagnostics as diagnostics_module
 from wellposed import distance as distance_module
-from wellposed.diagnostics import (
-    DECAY_RATIO, DEFAULT_ALPHA_SCHEDULE, STRICT_DELTA, TOL_ABS, _nested_members)
+from wellposed.diagnostics import DECAY_RATIO, DEFAULT_ALPHA_SCHEDULE, STRICT_DELTA, TOL_ABS
 from wellposed.distance import _oriented_distance_upto
-from wellposed.problem import LATTICE_CAP
+from wellposed.problem import LATTICE_CAP, _nested_members
 
 from oracles import (
     dominated_on_lattice,

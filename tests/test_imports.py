@@ -104,3 +104,10 @@ def test_diagnose3d_diagnostics_load_no_scipy():
         "wp.tykhonov_diagnostic(linear, grid_resolution=res)\n"
         "assert max(sizes) > wp.problem._DIRECT_DIAMETER_MAX")
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_version_literal_matches_pyproject():
+    # the version is a literal, so importing the package reads no metadata
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert wellposed.__version__ == tomllib.load(fh)["project"]["version"]

@@ -34,7 +34,7 @@ from wellposed.problem import (
     _pairwise_max,
 )
 
-from oracles import brute_max_distance, metric_series, span_coords
+from oracles import brute_max_distance, exact_level_members, metric_series, span_coords
 
 
 def vec_problem(fn, m, lower, upper, label="p", cone=None):
@@ -416,13 +416,35 @@ def _dh_levels(label):
 @pytest.mark.parametrize("label", registry.labels() + ("diagnose-3d",))
 def test_stacked_levels_equal_one_pass_per_level(label):
     # one lattice pass tests every level of a stack with the same membership
-    # test on the same image bits as a pass of its own
+    # test on the same image bits as a pass of its own; reversed levels grow,
+    # and two directions' stacks back to back jump up, so there the nested
+    # walk has to test a level on every row
     problem, stacks = _dh_levels(label)
-    for stack in stacks:
+    for stack in stacks + [stacks[0][::-1], np.vstack(stacks[-2:])]:
         got = level_set(problem, stack, 41)
         assert len(got) == stack.shape[0]
         for pts, y in zip(got, stack):
             assert pts.tobytes() == level_set(problem, y, 41).tobytes()
+
+
+@pytest.mark.parametrize("label", registry.labels() + ("diagnose-3d",))
+def test_level_sets_match_the_exact_membership_oracle(label):
+    # every row whose exact margin is not within rounding reach of -tol must
+    # be decided as exact arithmetic on the same float images decides it
+    problem, stacks = _dh_levels(label)
+    resolution = 11 if problem.decision_dim >= 3 else 21
+    lattice = problem.domain.lattice(resolution)
+    index = {row.tobytes(): i for i, row in enumerate(lattice)}
+    images, cone = problem.evaluate(lattice), problem.cone
+    decided_members = 0
+    for stack in stacks:
+        want, undecided = exact_level_members(images, stack, cone.dual_generators, cone.tol)
+        for pts, member, skip in zip(level_set(problem, stack, resolution), want, undecided):
+            got = np.zeros(len(lattice), dtype=bool)
+            got[[index[row.tobytes()] for row in pts]] = True
+            np.testing.assert_array_equal(got[~skip], member[~skip])
+            decided_members += int(np.sum(member & ~skip))
+    assert decided_members > 0
 
 
 def test_stacked_levels_equal_one_pass_per_level_above_the_store_cap():
