@@ -44,5 +44,5 @@ entry = registry.get("zero-function")
 print("\nf(x) = (0, 0) on [-1, 1], every point minimal:")
 rep = dh_diagnostic(entry.build(), entry.designated,
                     alpha_schedule=geometric_schedule(entry.dh_depth),
-                    grid_resolution=entry.resolution)
+                    grid_resolution=registry.RESOLUTION)
 show_curve(rep, keep=3)

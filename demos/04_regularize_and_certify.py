@@ -21,7 +21,7 @@ print()
 entry = registry.get("x-x2")
 problem = entry.build()
 for sigma in (0.5, 0.1):
-    perturbed, cert = density_pipeline(problem, sigma, grid_resolution=entry.resolution)
+    perturbed, cert = density_pipeline(problem, sigma, grid_resolution=registry.RESOLUTION)
     print(f"{problem.label} with budget sigma = {sigma}:")
     print(f"  bounding functional xi = {cert.xi_bar.tolist()}")
     print(f"  epsilon = {cert.epsilon:.6f}, Ekeland point x_hat = {cert.x_hat.tolist()}")
@@ -33,6 +33,6 @@ print()
 entry = registry.get("x-minus-xex")
 problem = entry.build()
 try:
-    density_pipeline(problem, 0.5, grid_resolution=entry.resolution)
+    density_pipeline(problem, 0.5, grid_resolution=registry.RESOLUTION)
 except NoBoundingFunctional as e:
     print(f"{problem.label}: refused -> {e}")

@@ -146,32 +146,36 @@ def _given(value, default):
     return default if value is None else value
 
 
-def _config_resolution(problem):
-    """Default resolution of a --config problem: the largest r <= 201 whose
-    lattice of r^d points fits under LATTICE_CAP (at least 2)."""
-    r = 201
-    while r > 2 and r ** problem.decision_dim > LATTICE_CAP:
-        r -= 1
-    return r
+def _labels(cfg: RunConfig):
+    """The registry labels of a comma-separated --problem list."""
+    return [label.strip() for label in cfg.problem.split(",")]
 
 
-def _resolve(cfg: RunConfig):
-    """Problem plus per-problem defaults (resolution, designated point)."""
+def _resolve(cfg: RunConfig, many=False):
+    """(problems, resolution, point, entry) of --config or --problem, one
+    label or, when many, a comma-separated list; entry is the first label's
+    registry entry (None for --config), whose designated point is the
+    default --point.  The resolution is --grid, else the largest
+    r <= registry.RESOLUTION whose r^d points fit under LATTICE_CAP (at
+    least 2)."""
     if cfg.problem and cfg.config:
         raise InputError("pass either --problem or --config, not both")
     if cfg.config:
-        problem = load_problem(cfg.config)
-        return problem, _given(cfg.grid, _config_resolution(problem)), cfg.point, None
-    if cfg.problem:
-        entry = registry.get(cfg.problem)
-        point = cfg.point if cfg.point is not None else entry.designated
-        return entry.build(), _given(cfg.grid, entry.resolution), point, entry
-    raise InputError("a problem source is required (--problem label or --config file)")
+        problems, point, entry = [load_problem(cfg.config)], cfg.point, None
+    elif cfg.problem:
+        entries = [registry.get(label) for label in (_labels(cfg) if many else [cfg.problem])]
+        entry = entries[0]
+        problems, point = [e.build() for e in entries], _given(cfg.point, entry.designated)
+    else:
+        raise InputError("a problem source is required (--problem label or --config file)")
+    r = registry.RESOLUTION
+    while r > 2 and r ** max(p.decision_dim for p in problems) > LATTICE_CAP:
+        r -= 1
+    return problems, _given(cfg.grid, r), point, entry
 
 
 def _schedule(cfg: RunConfig, entry):
-    depth = cfg.depth if cfg.depth is not None else (entry.dh_depth if entry else 10)
-    return geometric_schedule(int(depth))
+    return geometric_schedule(int(_given(cfg.depth, entry.dh_depth if entry else 10)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +183,7 @@ def _schedule(cfg: RunConfig, entry):
 
 
 def _run_distance(cfg: RunConfig):
-    problem, resolution, _, _ = _resolve(cfg)
+    (problem,), resolution, _, _ = _resolve(cfg)
     if cfg.y is None:
         raise InputError("distance requires --y with objective_dim components")
     y = np.asarray(cfg.y, dtype=float)
@@ -202,7 +206,7 @@ def _run_distance(cfg: RunConfig):
 
 
 def _run_analyze(cfg: RunConfig):
-    problem, resolution, _, _ = _resolve(cfg)
+    (problem,), resolution, _, _ = _resolve(cfg)
     convex = is_C_convex(problem, seed=cfg.seed)
     quasi = is_star_quasiconvex(problem, seed=cfg.seed)
     records = [_header(cfg, resolution)]
@@ -237,7 +241,7 @@ def _run_analyze(cfg: RunConfig):
 
 
 def _run_classify(cfg: RunConfig):
-    problem, resolution, point, _ = _resolve(cfg)
+    (problem,), resolution, point, _ = _resolve(cfg)
     if point is None:
         raise InputError("classify requires --point")
     verdict = classify_point(problem, point, resolution)
@@ -259,7 +263,7 @@ def _run_classify(cfg: RunConfig):
 
 
 def _run_tykhonov(cfg: RunConfig):
-    problem, resolution, point, entry = _resolve(cfg)
+    (problem,), resolution, point, entry = _resolve(cfg)
     if cfg.xi is not None:
         sp = scalarize_linear(problem, np.asarray(cfg.xi, dtype=float))
         route = "linear"
@@ -278,7 +282,7 @@ def _run_tykhonov(cfg: RunConfig):
 
 
 def _run_dh(cfg: RunConfig):
-    problem, resolution, point, entry = _resolve(cfg)
+    (problem,), resolution, point, entry = _resolve(cfg)
     if point is None:
         raise InputError("dh-check requires --point")
     report = dh_diagnostic(problem, point, alpha_schedule=_schedule(cfg, entry),
@@ -293,7 +297,7 @@ def _run_dh(cfg: RunConfig):
 
 
 def _run_perturb(cfg: RunConfig):
-    problem, resolution, point, _ = _resolve(cfg)
+    (problem,), resolution, point, _ = _resolve(cfg)
     if point is None:
         raise InputError("perturb requires --point (the efficient center)")
     n = _given(cfg.n, 1)
@@ -343,22 +347,16 @@ def _pipeline_record(cert):
 
 
 def _run_pipeline(cfg: RunConfig):
-    problem, resolution, _, _ = _resolve(cfg)
+    (problem,), resolution, _, _ = _resolve(cfg)
     _, cert = density_pipeline(problem, cfg.sigma, grid_resolution=resolution,
                                seed=cfg.seed)
     return [_header(cfg, resolution), _pipeline_record(cert)], None, EXIT_OK
 
 
 def _run_probe(cfg: RunConfig):
-    if cfg.config:
-        problems = [load_problem(cfg.config)]
-        resolution = _given(cfg.grid, _config_resolution(problems[0]))
-    elif cfg.problem:
-        entries = [registry.get(label.strip()) for label in cfg.problem.split(",")]
-        problems = [e.build() for e in entries]
-        resolution = _given(cfg.grid, max(e.resolution for e in entries))
-    else:
+    if not (cfg.problem or cfg.config):
         raise InputError("probe needs --problem labels or --config")
+    problems, resolution, _, _ = _resolve(cfg, many=True)
     report = genericity_probe(problems, cfg.sigma, n_max=_given(cfg.n, 8),
                               grid_resolution=resolution, seed=cfg.seed)
     records = [_header(cfg, resolution)]
@@ -388,68 +386,55 @@ def _run_probe(cfg: RunConfig):
 # replicate
 
 
-def _assert_record(name, passed, detail=""):
+def _check(records, name, passed, detail=""):
+    """Append an assertion record to records; returns passed."""
     rec = {"record": "assertion", "name": name, "passed": bool(passed)}
     if detail:
         rec["detail"] = detail
-    return rec
+    records.append(rec)
+    return passed
 
 
 def _replicate_entry(entry, records):
     problem = entry.build()
     ok = True
     for exp in entry.expectations:
-        verdict = classify_point(problem, exp.point, entry.resolution)
+        verdict = classify_point(problem, exp.point, registry.RESOLUTION)
         got = (verdict.efficient, verdict.weakly_efficient, verdict.strictly_efficient)
         want = (exp.efficient, exp.weakly_efficient, exp.strictly_efficient)
-        passed = got == want
-        ok &= passed
-        records.append(_assert_record(
-            f"classify@{_fmt_value(np.asarray(exp.point))}", passed,
-            f"expected {'/'.join(want)} got {'/'.join(got)} (basis {exp.basis})"))
+        ok &= _check(records, f"classify@{_fmt_value(np.asarray(exp.point))}", got == want,
+                     f"expected {'/'.join(want)} got {'/'.join(got)} (basis {exp.basis})")
 
     report = dh_diagnostic(problem, entry.designated,
                            alpha_schedule=geometric_schedule(entry.dh_depth),
-                           grid_resolution=entry.resolution)
-    passed = report.verdict == entry.dh_verdict
-    ok &= passed
-    records.append(_assert_record("dh-verdict", passed,
-                                  f"expected {entry.dh_verdict} got {report.verdict}"))
+                           grid_resolution=registry.RESOLUTION)
+    ok &= _check(records, "dh-verdict", report.verdict == entry.dh_verdict,
+                 f"expected {entry.dh_verdict} got {report.verdict}")
 
     search = find_bounding_functional(problem)
-    passed = (search.xi is not None) == entry.c_bounded
-    ok &= passed
-    records.append(_assert_record(
-        "bounding-functional", passed,
-        "found" if search.xi is not None else "none found"))
+    ok &= _check(records, "bounding-functional", (search.xi is not None) == entry.c_bounded,
+                 "found" if search.xi is not None else "none found")
 
     if entry.label == "zero-function":
         _, cert = tikhonov_regularize(problem, entry.designated, 1,
-                                      grid_resolution=entry.resolution)
-        passed = cert.dh_verdict == WELL_POSED and cert.efficient_at_center == "yes"
-        ok &= passed
-        records.append(_assert_record("regularization-restores-well-posedness", passed,
-                                      f"dh={cert.dh_verdict}"))
+                                      grid_resolution=registry.RESOLUTION)
+        ok &= _check(records, "regularization-restores-well-posedness",
+                     cert.dh_verdict == WELL_POSED and cert.efficient_at_center == "yes",
+                     f"dh={cert.dh_verdict}")
 
     if entry.label == "x-minus-xex":
         quasi = is_star_quasiconvex(problem)
-        passed = quasi.verdict == COUNTEREXAMPLE
-        ok &= passed
-        records.append(_assert_record("star-quasiconvexity-counterexample", passed,
-                                      quasi.verdict))
-        all_diverge = bool(search.scanned) and all(
-            v == COUNTEREXAMPLE for _, v in search.scanned)
-        ok &= all_diverge
-        records.append(_assert_record(
-            "every-base-functional-diverges", all_diverge,
-            f"{len(search.scanned)} candidates scanned"))
+        ok &= _check(records, "star-quasiconvexity-counterexample",
+                     quasi.verdict == COUNTEREXAMPLE, quasi.verdict)
+        ok &= _check(records, "every-base-functional-diverges",
+                     bool(search.scanned) and all(v == COUNTEREXAMPLE for _, v in search.scanned),
+                     f"{len(search.scanned)} candidates scanned")
         try:
-            density_pipeline(problem, 0.5, grid_resolution=entry.resolution)
+            density_pipeline(problem, 0.5, grid_resolution=registry.RESOLUTION)
             passed, detail = False, "pipeline unexpectedly succeeded"
         except NoBoundingFunctional:
             passed, detail = True, "refused with NoBoundingFunctional"
-        ok &= passed
-        records.append(_assert_record("pipeline-refusal", passed, detail))
+        ok &= _check(records, "pipeline-refusal", passed, detail)
 
     return ok
 
@@ -457,11 +442,9 @@ def _replicate_entry(entry, records):
 def _replicate_hilbert(d, records):
     measured, spacing = registry.hilbert_level_diameter(d)
     expected = 2.0 * d * np.sqrt(registry.HILBERT_LEVEL)
-    passed = abs(measured - expected) <= 2.0 * spacing
-    records.append(_assert_record(
-        f"level-diameter-scaling-d{d}", passed,
-        f"measured {measured!r} expected {expected!r} spacing {spacing!r}"))
-    return passed
+    return _check(records, f"level-diameter-scaling-d{d}",
+                  abs(measured - expected) <= 2.0 * spacing,
+                  f"measured {measured!r} expected {expected!r} spacing {spacing!r}")
 
 
 def replicate(label: str):
@@ -483,43 +466,52 @@ def _run_replicate(cfg: RunConfig):
     if cfg.grid is not None:
         raise InputError("replicate runs every assertion at the registry resolution; "
                          "--grid is not accepted")
+    if cfg.config:
+        raise InputError("replicate re-derives the stored facts of registry problems; "
+                         "--config is not accepted")
     records = [_header(cfg, "registry-default")]
     all_ok = True
-    for label in cfg.problem.split(","):
-        records.append({"record": "replicate", "label": label.strip()})
-        asserted, ok = replicate(label.strip())
+    for label in _labels(cfg):
+        records.append({"record": "replicate", "label": label})
+        asserted, ok = replicate(label)
         records.extend(asserted)
         all_ok &= ok
     records.append({"record": "replicate-summary", "all_passed": all_ok})
     return records, None, EXIT_OK if all_ok else EXIT_FAILED
 
 
-_DISPATCH = {
-    "distance": _run_distance,
-    "analyze": _run_analyze,
-    "classify": _run_classify,
-    "tykhonov-check": _run_tykhonov,
-    "dh-check": _run_dh,
-    "perturb": _run_perturb,
-    "pipeline": _run_pipeline,
-    "probe": _run_probe,
-    "replicate": _run_replicate,
+# name: (runner, whether it has a diameter curve for table-csv, description)
+SUBCOMMANDS = {
+    "distance": (_run_distance, False, "oriented distance of a point to the negative cone"),
+    "analyze": (_run_analyze, False,
+                "structural screens: cone-convexity, quasiconvexity, boundedness"),
+    "classify": (_run_classify, False, "efficiency classification of a point"),
+    "tykhonov-check": (_run_tykhonov, True, "scalar level-set diameter diagnostic"),
+    "dh-check": (_run_dh, True, "vector level-set diameter diagnostic at a point"),
+    "perturb": (_run_perturb, False,
+                "norm-cone regularization certificate at an efficient point"),
+    "pipeline": (_run_pipeline, False,
+                 "construct a nearby well-posed problem with a full certificate"),
+    "probe": (_run_probe, False,
+              "run the pipeline across a family and report the success fraction"),
+    "replicate": (_run_replicate, False, "re-run the stored facts for a registry problem"),
 }
 
-_CSV_CAPABLE = {"tykhonov-check", "dh-check"}
+FORMATS = ("record-text", "table-csv")
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one configuration and write its report; returns exit code."""
     try:
-        if cfg.subcommand not in _DISPATCH:
+        if cfg.subcommand not in SUBCOMMANDS:
             raise InputError(f"unknown subcommand {cfg.subcommand!r}")
-        if cfg.format not in ("record-text", "table-csv"):
+        if cfg.format not in FORMATS:
             raise InputError(f"unknown format {cfg.format!r}")
-        if cfg.format == "table-csv" and cfg.subcommand not in _CSV_CAPABLE:
-            raise InputError("table-csv output is only available for diameter curves "
-                             "(tykhonov-check, dh-check)")
-        records, curve_report, code = _DISPATCH[cfg.subcommand](cfg)
+        runner, has_curve, _ = SUBCOMMANDS[cfg.subcommand]
+        if cfg.format == "table-csv" and not has_curve:
+            curves = ", ".join(name for name, (_, c, _) in SUBCOMMANDS.items() if c)
+            raise InputError(f"table-csv output is only available for diameter curves ({curves})")
+        records, curve_report, code = runner(cfg)
     except (InputError, FileNotFoundError) as exc:
         _emit(cfg, format_records([{"status": "error", "exit_code": EXIT_USAGE,
                                     "reason": str(exc)}]))
@@ -569,28 +561,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"wellposed {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    descriptions = {
-        "distance": "oriented distance of a point to the negative cone",
-        "analyze": "structural screens: cone-convexity, quasiconvexity, boundedness",
-        "classify": "efficiency classification of a point",
-        "tykhonov-check": "scalar level-set diameter diagnostic",
-        "dh-check": "vector level-set diameter diagnostic at a point",
-        "perturb": "norm-cone regularization certificate at an efficient point",
-        "pipeline": "construct a nearby well-posed problem with a full certificate",
-        "probe": "run the pipeline across a family and report the success fraction",
-        "replicate": "re-run the stored facts for a registry problem",
-    }
-    for name, desc in descriptions.items():
-        p = sub.add_parser(name, help=desc, description=desc)
+    for name, (_, _, desc) in SUBCOMMANDS.items():
+        # an option not given is left out, so RunConfig supplies its default
+        p = sub.add_parser(name, help=desc, description=desc,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("--problem", help="registry label (comma-separated for probe/replicate)")
         p.add_argument("--config", help="problem description file (YAML)")
         p.add_argument("--grid", type=int, help="lattice resolution per axis")
-        p.add_argument("--sigma", type=float, default=0.1, help="target metric radius")
+        p.add_argument("--sigma", type=float, help="target metric radius")
         p.add_argument("--n", type=int, help="strength index / sample count / probe bound")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+        p.add_argument("--seed", type=int, help="seed for all randomness")
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--format", default="record-text",
-                       choices=("record-text", "table-csv"))
+        p.add_argument("--format", choices=FORMATS)
         p.add_argument("--point", type=_vector, help="decision-space point")
         p.add_argument("--y", type=_vector, help="objective-space point")
         p.add_argument("--xi", type=_vector, help="dual functional")
@@ -617,8 +599,7 @@ def _attach_negative_vectors(argv):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_negative_vectors(argv))
-    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-    return run(cfg)
+    return run(RunConfig(**vars(args)))
 
 
 if __name__ == "__main__":

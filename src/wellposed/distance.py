@@ -90,22 +90,21 @@ def _many_row_product(a, b):
 def _dual_projections(cone: OrderingCone, points):
     """Yield (row indices, P_{C*} of those rows) for (n, m) points outside -C.
 
-    Each row is certified once, at the tolerance max(cone.tol, 1e-10) *
-    max(1, ||y||).  Rows in C* (<g/||g||, y> >= -tol for every primal
-    generator g) project to themselves.  Any other projection lies on the
-    boundary of C*: a basic nonnegative combination of at most m-1 dual
+    Each row is certified once, at the tolerance cone.tol * max(1, ||y||).
+    Rows in C* (<g/||g||, y> >= -tol for every primal generator g) project
+    to themselves.  Any other projection lies on the boundary of C*: a
+    basic nonnegative combination of at most m-1 dual
     generators of one proper face.  Each such support
     (cone.dual_face_supports) is tried in turn with its pseudo-inverse
     (cone.dual_face_pinvs) and a KKT test.  A row no support certifies
     raises NumericalFailure.
     """
     duals = cone.dual_generators  # (f, m)
-    base = max(cone.tol, 1e-10)
     low = row_min(_many_row_product(points, cone.unit_generators.T))
-    in_dual = low >= -base
+    in_dual = low >= -cone.tol
     # only the rows outside C* at the base tolerance need their norms
     rest = np.flatnonzero(~in_dual)
-    tol = base * np.maximum(1.0, row_norm(points[rest]))
+    tol = cone.tol * np.maximum(1.0, row_norm(points[rest]))
     in_dual[rest] = low[rest] >= -tol
     yield np.flatnonzero(in_dual), points[in_dual]
     rest, tol = rest[~in_dual[rest]], tol[~in_dual[rest]]
@@ -145,7 +144,7 @@ def _oriented_distance_upto(cone: OrderingCone, points, level):
     value can be at most level, and +inf, unprojected, on the other rows.
 
     The value of a row y is at least its largest facet margin less the
-    certificate tolerance tol = max(cone.tol, 1e-10) * max(1, ||y||) of
+    certificate tolerance tol = cone.tol * max(1, ||y||) of
     _dual_projections: inside -C the value is that margin, a row in C*
     gets ||y||, which bounds every <xi, y> for unit xi, and a certified
     projection p has <xi, y - p> <= tol for the dual generators outside
@@ -156,7 +155,7 @@ def _oriented_distance_upto(cone: OrderingCone, points, level):
     values = row_max(_many_row_product(points, cone.dual_generators.T))
     outside = values > cone.tol
     if level < np.inf:
-        tol = max(cone.tol, 1e-10) * np.maximum(1.0, row_norm(points))
+        tol = cone.tol * np.maximum(1.0, row_norm(points))
         far = values > level + 2.0 * tol  # a NaN row keeps its NaN value
         outside &= ~far
         values[far] = np.inf

@@ -317,7 +317,7 @@ def diameter(point_set):
         return 0.0
     if n <= _DIRECT_DIAMETER_MAX:
         return _pairwise_max(pts[_off_line_ends(pts)])
-    centered = pts - pts.mean(axis=0)
+    centered = row_sub(pts, pts.mean(axis=0))
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     rank = int(np.sum(s > max(s[0], 1.0) * 1e-12))
     if rank == 0:

@@ -5,10 +5,11 @@ Each entry's problem is a problem-file mapping, with the fields of a
 config problems share one construction path and one expression compiler.
 
 Each entry records what the classifier should report at specific points,
-at the entry's stated lattice resolution, together with how the fact was
-obtained: "direct" facts are immediate from the formula, "derived" facts
-come from a short hand computation (noted per entry).  Tests re-check
-every expectation against an independent brute-force scan.
+at the lattice resolution RESOLUTION that every entry shares, together
+with how the fact was obtained: "direct" facts are immediate from the
+formula, "derived" facts come from a short hand computation (noted per
+entry).  Tests re-check every expectation against an independent
+brute-force scan.
 
 Entries marked core form the d <= 2 battery used by the agreement suites;
 c_bounded marks entries whose scalarization through some base functional
@@ -53,10 +54,11 @@ class RegistryEntry:
     core: bool
     c_bounded: bool
     dh_verdict: str
-    resolution: int
     dh_depth: int
     note: str = ""
 
+
+RESOLUTION = 201  # lattice points per axis at which every entry's facts hold
 
 # dual generators given, so that their order is the identity's, as in orthant(2)
 _ORTHANT = {"generators": [[1.0, 0.0], [0.0, 1.0]], "dual_generators": [[1.0, 0.0], [0.0, 1.0]]}
@@ -80,8 +82,7 @@ ENTRIES = (
             ExpectedStatus((0.5,), _Y, _Y, _N, "direct"),
             ExpectedStatus((-1.0,), _Y, _Y, _N, "direct"),
         ),
-        core=True, c_bounded=True, dh_verdict=NOT_WELL_POSED,
-        resolution=201, dh_depth=20,
+        core=True, c_bounded=True, dh_verdict=NOT_WELL_POSED, dh_depth=20,
         note="constant image: everything efficient, nothing strictly; level sets never shrink",
     ),
     _entry(
@@ -93,8 +94,7 @@ ENTRIES = (
             ExpectedStatus((0.5,), _Y, _Y, _Y, "derived"),
             ExpectedStatus((-1.0,), _Y, _Y, _Y, "derived"),
         ),
-        core=True, c_bounded=True, dh_verdict=WELL_POSED,
-        resolution=201, dh_depth=20,
+        core=True, c_bounded=True, dh_verdict=WELL_POSED, dh_depth=20,
         note="antisymmetric pair; bounded only through the mid-base functional",
     ),
     _entry(
@@ -106,8 +106,7 @@ ENTRIES = (
             ExpectedStatus((0.5,), _N, _N, _N, "derived"),
             ExpectedStatus((-0.25,), _N, _N, _N, "derived"),
         ),
-        core=True, c_bounded=True, dh_verdict=WELL_POSED,
-        resolution=201, dh_depth=20,
+        core=True, c_bounded=True, dh_verdict=WELL_POSED, dh_depth=20,
         note="duplicated parabola; unique minimizer at 0",
     ),
     _entry(
@@ -120,8 +119,7 @@ ENTRIES = (
             ExpectedStatus((-1.5,), _Y, _Y, _Y, "derived"),
             ExpectedStatus((1.0,), _N, _N, _N, "derived"),
         ),
-        core=True, c_bounded=True, dh_verdict=WELL_POSED,
-        resolution=201, dh_depth=20,
+        core=True, c_bounded=True, dh_verdict=WELL_POSED, dh_depth=20,
         note="linear-quadratic trade-off; efficient exactly on [-3, 0]",
     ),
     _entry(
@@ -134,8 +132,7 @@ ENTRIES = (
             ExpectedStatus((-0.51,), _N, _N, _N, "derived"),
             ExpectedStatus((-2.01,), _N, _N, _N, "derived"),
         ),
-        core=True, c_bounded=False, dh_verdict=WELL_POSED,
-        resolution=201, dh_depth=20,
+        core=True, c_bounded=False, dh_verdict=WELL_POSED, dh_depth=20,
         note="x*exp(x) ridge: every base scalarization diverges under expansion; "
              "points left of 0 are dominated from deep in the tail",
     ),
@@ -148,8 +145,7 @@ ENTRIES = (
             ExpectedStatus((0.5,), _Y, _Y, _Y, "derived"),
             ExpectedStatus((-0.5,), _N, _N, _N, "derived"),
         ),
-        core=True, c_bounded=True, dh_verdict=WELL_POSED,
-        resolution=201, dh_depth=30,
+        core=True, c_bounded=True, dh_verdict=WELL_POSED, dh_depth=30,
         note="quartic pair; at 0 the image flattens so hard the delta grid cannot "
              "certify strictness at the finest epsilon (lattice-resolution artifact)",
     ),
@@ -163,8 +159,7 @@ ENTRIES = (
             ExpectedStatus((0.6,), _N, _N, _N, "derived"),
             ExpectedStatus((-1.0,), _N, _N, _N, "derived"),
         ),
-        core=True, c_bounded=True, dh_verdict=WELL_POSED,
-        resolution=201, dh_depth=20,
+        core=True, c_bounded=True, dh_verdict=WELL_POSED, dh_depth=20,
         note="two kinks; efficient exactly on [-0.5, 0.3]",
     ),
     _entry(
@@ -176,8 +171,7 @@ ENTRIES = (
             ExpectedStatus((0.0,), _Y, _Y, _Y, "derived"),
             ExpectedStatus((1.0,), _Y, _Y, _Y, "derived"),
         ),
-        core=True, c_bounded=True, dh_verdict=WELL_POSED,
-        resolution=201, dh_depth=20,
+        core=True, c_bounded=True, dh_verdict=WELL_POSED, dh_depth=20,
         note="strictly monotone trade-off: the whole box is efficient; vertex "
              "functionals diverge but the mid-base one is bounded",
     ),
@@ -192,8 +186,7 @@ ENTRIES = (
             ExpectedStatus((1.0, 0.0), _Y, _Y, _Y, "derived"),
             ExpectedStatus((-0.5, 0.5), _N, _N, _N, "derived"),
         ),
-        core=True, c_bounded=True, dh_verdict=WELL_POSED,
-        resolution=201, dh_depth=20,
+        core=True, c_bounded=True, dh_verdict=WELL_POSED, dh_depth=20,
         note="two shifted paraboloids; efficient on the segment joining the centers",
     ),
     _entry(
@@ -207,8 +200,7 @@ ENTRIES = (
             ExpectedStatus((0.0,), _Y, _Y, _Y, "derived"),
             ExpectedStatus((-1.0,), _N, _N, _N, "derived"),
         ),
-        core=True, c_bounded=True, dh_verdict=WELL_POSED,
-        resolution=201, dh_depth=20,
+        core=True, c_bounded=True, dh_verdict=WELL_POSED, dh_depth=20,
         note="non-orthant cone spanned by (1,0) and (1,2); the two facet margins "
              "pinch the level sets from opposite sides",
     ),
@@ -222,8 +214,7 @@ ENTRIES = (
             ExpectedStatus((0.5, 0.5), _N, _N, _N, "derived"),
             ExpectedStatus((0.0, -1.0), _N, _Y, _N, "derived"),
         ),
-        core=False, c_bounded=True, dh_verdict=WELL_POSED,
-        resolution=201, dh_depth=20,
+        core=False, c_bounded=True, dh_verdict=WELL_POSED, dh_depth=20,
         note="componentwise weighted squares; (0,-1) is weakly efficient yet "
              "dominated along the flat first component",
     ),

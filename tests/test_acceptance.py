@@ -134,8 +134,8 @@ def test_criterion_03_weak_efficiency_equivalence():
     for entry in registry.core_entries():
         p = entry.build()
         for exp in entry.expectations:
-            v = classify_point(p, exp.point, entry.resolution)
-            by_distance = weff_via_distance(p, exp.point, entry.resolution)
+            v = classify_point(p, exp.point, registry.RESOLUTION)
+            by_distance = weff_via_distance(p, exp.point, registry.RESOLUTION)
             assert by_distance == (v.weakly_efficient == YES), (entry.label, exp.point)
             checked += 1
     assert len(registry.core_entries()) == 10
@@ -148,9 +148,9 @@ def test_criterion_04_dh_scalarization_equivalence():
         p = entry.build()
         sched = geometric_schedule(entry.dh_depth)
         direct = dh_diagnostic(p, entry.designated, alpha_schedule=sched,
-                               grid_resolution=entry.resolution)
+                               grid_resolution=registry.RESOLUTION)
         scal = dh_via_scalarization(p, entry.designated, level_schedule=sched,
-                                    grid_resolution=entry.resolution)
+                                    grid_resolution=registry.RESOLUTION)
         assert direct.verdict == scal.verdict, entry.label
     report(4, "DH vs scalarized verdict agreement",
            f"{len(registry.ENTRIES)} problems, 0 disagreements")
@@ -219,7 +219,7 @@ def test_criterion_07_pipeline_certificates_and_refusal():
     for entry in bounded:
         for sigma in (0.5, 0.1):
             _, cert = density_pipeline(entry.build(), sigma,
-                                       grid_resolution=entry.resolution)
+                                       grid_resolution=registry.RESOLUTION)
             assert cert.d_f_h < sigma, (entry.label, sigma)
             assert cert.d_f_g < sigma / 2, (entry.label, sigma)
             assert cert.d_g_h <= sigma / 2 + cert.metric_tail, (entry.label, sigma)

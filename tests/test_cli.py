@@ -1,5 +1,6 @@
 import hashlib
 import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from wellposed import registry
-from wellposed.cli import RunConfig, build_parser, format_records, main, replicate, run
+from wellposed.cli import (
+    SUBCOMMANDS, RunConfig, build_parser, format_records, main, replicate, run)
 
 CONFIG_TEXT = (
     "label: cfg-quad\n"
@@ -226,6 +228,20 @@ def test_problem_and_config_conflict(tmp_path):
     assert code == 2
 
 
+# probe once ran only the config file, and replicate ignored it, while the header echoed both
+@pytest.mark.parametrize("argv, reason", [
+    (["probe", "--problem", "quad-pair"], "pass either --problem or --config, not both"),
+    (["replicate", "--problem", "zero-function"],
+     "replicate re-derives the stored facts of registry problems; --config is not accepted"),
+], ids=["probe", "replicate"])
+def test_probe_and_replicate_refuse_problem_with_config(tmp_path, argv, reason):
+    cfg = tmp_path / "p.yaml"
+    cfg.write_text(CONFIG_TEXT)
+    code, text = run_cli(tmp_path, *argv, "--config", str(cfg))
+    assert code == 2
+    assert parse_records(text)[0]["reason"] == reason
+
+
 def test_perturb_certificate_exit_zero(tmp_path):
     code, text = run_cli(tmp_path, "perturb", "--problem", "zero-function", "--n", "2")
     assert code == 0
@@ -285,3 +301,26 @@ def test_format_records_scalar_styles():
     text = format_records([{"a": 1, "b": 0.25, "c": True, "d": None,
                             "e": np.array([1.0, 2.0])}])
     assert text == "a=1\nb=0.25\nc=true\nd=none\ne=1.0 2.0\n"
+
+
+def test_help_text_is_pinned(monkeypatch, capsys):
+    # cli_help.txt holds `wellposed --help` and each `wellposed <sub> --help` at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    parts = []
+    for argv in [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        parts.append(f"$ wellposed {' '.join(argv)}\n{capsys.readouterr().out}")
+    assert "\n".join(parts) == Path(__file__).with_name("cli_help.txt").read_text()
+
+
+def test_readme_commands_match_the_subcommand_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("wellposed ")]
+    assert {argv[0] for argv in commands} == set(SUBCOMMANDS)
+    for argv in commands:
+        build_parser().parse_args(argv)  # every option in the docs exists

@@ -218,7 +218,7 @@ def gate_cases():
             points = [(0.0, 0.0, 0.0), (-0.5, -0.5, 0.5)]
         else:
             entry = registry.get(label)
-            problem, res, points = entry.build(), entry.resolution, [entry.designated]
+            problem, res, points = entry.build(), registry.RESOLUTION, [entry.designated]
         flat = rng.choice(problem.domain.lattice_size(res), 4, replace=False)
         points += list(problem.domain.lattice_points_at(res, flat))
         yield label, problem, res, points

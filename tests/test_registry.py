@@ -40,7 +40,7 @@ def test_every_expectation_classifies_as_stored():
     for entry in registry.ENTRIES:
         p = entry.build()
         for exp in entry.expectations:
-            v = classify_point(p, exp.point, entry.resolution)
+            v = classify_point(p, exp.point, registry.RESOLUTION)
             got = (v.efficient, v.weakly_efficient, v.strictly_efficient)
             want = (exp.efficient, exp.weakly_efficient, exp.strictly_efficient)
             assert got == want, f"{entry.label}@{exp.point}: {got} != {want}"
@@ -51,7 +51,7 @@ def test_dh_verdicts_as_stored():
         p = entry.build()
         rep = dh_diagnostic(p, entry.designated,
                             alpha_schedule=geometric_schedule(entry.dh_depth),
-                            grid_resolution=entry.resolution)
+                            grid_resolution=registry.RESOLUTION)
         assert rep.verdict == entry.dh_verdict, entry.label
 
 
@@ -62,10 +62,10 @@ def test_orthant_entries_against_componentwise_oracle():
         gens = p.cone.generators
         if p.decision_dim != 1 or not np.allclose(gens[np.argsort(gens[:, 0])], np.eye(2)):
             continue
-        pts = p.domain.lattice(entry.resolution)
+        pts = p.domain.lattice(registry.RESOLUTION)
         values = p.evaluate(pts)
         for exp in entry.expectations:
-            v = classify_point(p, exp.point, entry.resolution)
+            v = classify_point(p, exp.point, registry.RESOLUTION)
             f_bar = p.evaluate_one(exp.point)
             dom = orthant_dom_witness(values, f_bar, p.cone.tol, v.tol)
             weak = orthant_weak_witness(values, f_bar, v.tol)
@@ -145,7 +145,7 @@ def test_registry_images_match_recorded_digests():
     assert set(IMAGE_DIGESTS) == set(registry.labels())
     for entry in registry.ENTRIES:
         p = entry.build()
-        got = (image_digest(p, p.domain.lattice(entry.resolution)),
+        got = (image_digest(p, p.domain.lattice(registry.RESOLUTION)),
                image_digest(p, p.domain.scaled(8.0).lattice(65)))
         assert got == IMAGE_DIGESTS[entry.label], entry.label
 
@@ -156,7 +156,7 @@ def test_readme_quotes_a_registry_mapping():
     quoted = ast.literal_eval(re.search(r"```python\n(.*?)```", section, re.S).group(1))
     entry = registry.get(quoted["label"])
     p, q = entry.build(), problem_from_mapping(quoted)
-    pts = p.domain.lattice(entry.resolution)
+    pts = p.domain.lattice(registry.RESOLUTION)
     assert p.evaluate(pts).tobytes() == q.evaluate(pts).tobytes()
     assert p.cone.generators.tobytes() == q.cone.generators.tobytes()
     assert p.cone.dual_generators.tobytes() == q.cone.dual_generators.tobytes()
