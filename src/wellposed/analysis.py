@@ -19,7 +19,7 @@ from ._rows import row_max, row_min
 from .cone import simplex_lattice
 from .diagnostics import INCONCLUSIVE
 from .errors import InputError, NumericalFailure
-from .problem import LATTICE_CAP, Box, VectorProblem, dual_vector
+from .problem import Box, VectorProblem, dual_vector
 
 EVIDENCE = "evidence_holds"
 COUNTEREXAMPLE = "counterexample_found"
@@ -269,8 +269,6 @@ def sion_gap(matrix, w_domain, z_subdivisions=64, w_resolution=33) -> SionGap:
         if not isinstance(w_domain, Box) or w_domain.dim != kw:
             raise InputError(f"w_domain must be a Box of dimension {kw}")
         corners = w_domain.corners()
-        if w_domain.lattice_size(w_resolution) > LATTICE_CAP:
-            raise InputError("w lattice too large; lower w_resolution")
         w_lattice = w_domain.lattice(w_resolution)
         w_is_simplex = False
         mesh_w = w_domain.lattice_spacing(w_resolution)

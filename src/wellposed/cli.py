@@ -207,21 +207,11 @@ def _run_distance(cfg: RunConfig):
 
 def _run_analyze(cfg: RunConfig):
     (problem,), resolution, _, _ = _resolve(cfg)
-    convex = is_C_convex(problem, seed=cfg.seed)
-    quasi = is_star_quasiconvex(problem, seed=cfg.seed)
-    records = [_header(cfg, resolution)]
-    records.append({
-        "record": "cone-convexity",
-        "label": problem.label,
-        "verdict": convex.verdict,
-        "samples": convex.samples_used,
-    })
-    records.append({
-        "record": "star-quasiconvexity",
-        "label": problem.label,
-        "verdict": quasi.verdict,
-        "samples": quasi.samples_used,
-    })
+    screens = (("cone-convexity", is_C_convex(problem, seed=cfg.seed)),
+               ("star-quasiconvexity", is_star_quasiconvex(problem, seed=cfg.seed)))
+    records = [_header(cfg, resolution)] + [
+        {"record": name, "label": problem.label, "verdict": screen.verdict,
+         "samples": screen.samples_used} for name, screen in screens]
     if cfg.xi is not None:
         bounded = is_C_bounded_below(problem, np.asarray(cfg.xi, dtype=float))
         records.append({
@@ -317,9 +307,12 @@ def _run_perturb(cfg: RunConfig):
     return [_header(cfg, resolution), rec], None, code
 
 
-def _pipeline_record(cert):
+def _run_pipeline(cfg: RunConfig):
+    (problem,), resolution, _, _ = _resolve(cfg)
+    _, cert = density_pipeline(problem, cfg.sigma, grid_resolution=resolution,
+                               seed=cfg.seed)
     ek = cert.ekeland
-    return {
+    rec = {
         "record": "pipeline-certificate",
         "label": cert.label,
         "sigma": cert.sigma,
@@ -344,18 +337,10 @@ def _pipeline_record(cert):
         "ekeland.min_margin": ek.min_margin,
         "ekeland.unique_minimizer": ek.unique_minimizer,
     }
-
-
-def _run_pipeline(cfg: RunConfig):
-    (problem,), resolution, _, _ = _resolve(cfg)
-    _, cert = density_pipeline(problem, cfg.sigma, grid_resolution=resolution,
-                               seed=cfg.seed)
-    return [_header(cfg, resolution), _pipeline_record(cert)], None, EXIT_OK
+    return [_header(cfg, resolution), rec], None, EXIT_OK
 
 
 def _run_probe(cfg: RunConfig):
-    if not (cfg.problem or cfg.config):
-        raise InputError("probe needs --problem labels or --config")
     problems, resolution, _, _ = _resolve(cfg, many=True)
     report = genericity_probe(problems, cfg.sigma, n_max=_given(cfg.n, 8),
                               grid_resolution=resolution, seed=cfg.seed)
@@ -463,12 +448,6 @@ def replicate(label: str):
 def _run_replicate(cfg: RunConfig):
     if not cfg.problem:
         raise InputError("replicate requires --problem with a registry label")
-    if cfg.grid is not None:
-        raise InputError("replicate runs every assertion at the registry resolution; "
-                         "--grid is not accepted")
-    if cfg.config:
-        raise InputError("replicate re-derives the stored facts of registry problems; "
-                         "--config is not accepted")
     records = [_header(cfg, "registry-default")]
     all_ok = True
     for label in _labels(cfg):
@@ -480,21 +459,29 @@ def _run_replicate(cfg: RunConfig):
     return records, None, EXIT_OK if all_ok else EXIT_FAILED
 
 
-# name: (runner, whether it has a diameter curve for table-csv, description)
+COMMON = ("seed", "out")  # options taken by every subcommand
+
+# name: (runner, the options it reads besides COMMON, description); build_parser
+# adds only those options and run() refuses any other that differs from its default
 SUBCOMMANDS = {
-    "distance": (_run_distance, False, "oriented distance of a point to the negative cone"),
-    "analyze": (_run_analyze, False,
+    "distance": (_run_distance, ("problem", "config", "y", "n"),
+                 "oriented distance of a point to the negative cone"),
+    "analyze": (_run_analyze, ("problem", "config", "xi"),
                 "structural screens: cone-convexity, quasiconvexity, boundedness"),
-    "classify": (_run_classify, False, "efficiency classification of a point"),
-    "tykhonov-check": (_run_tykhonov, True, "scalar level-set diameter diagnostic"),
-    "dh-check": (_run_dh, True, "vector level-set diameter diagnostic at a point"),
-    "perturb": (_run_perturb, False,
+    "classify": (_run_classify, ("problem", "config", "grid", "point"),
+                 "efficiency classification of a point"),
+    "tykhonov-check": (_run_tykhonov,
+                       ("problem", "config", "grid", "format", "point", "xi", "depth"),
+                       "scalar level-set diameter diagnostic"),
+    "dh-check": (_run_dh, ("problem", "config", "grid", "format", "point", "depth"),
+                 "vector level-set diameter diagnostic at a point"),
+    "perturb": (_run_perturb, ("problem", "config", "grid", "point", "n"),
                 "norm-cone regularization certificate at an efficient point"),
-    "pipeline": (_run_pipeline, False,
+    "pipeline": (_run_pipeline, ("problem", "config", "grid", "sigma"),
                  "construct a nearby well-posed problem with a full certificate"),
-    "probe": (_run_probe, False,
+    "probe": (_run_probe, ("problem", "config", "grid", "sigma", "n"),
               "run the pipeline across a family and report the success fraction"),
-    "replicate": (_run_replicate, False, "re-run the stored facts for a registry problem"),
+    "replicate": (_run_replicate, ("problem",), "re-run the stored facts for a registry problem"),
 }
 
 FORMATS = ("record-text", "table-csv")
@@ -507,10 +494,11 @@ def run(cfg: RunConfig) -> int:
             raise InputError(f"unknown subcommand {cfg.subcommand!r}")
         if cfg.format not in FORMATS:
             raise InputError(f"unknown format {cfg.format!r}")
-        runner, has_curve, _ = SUBCOMMANDS[cfg.subcommand]
-        if cfg.format == "table-csv" and not has_curve:
-            curves = ", ".join(name for name, (_, c, _) in SUBCOMMANDS.items() if c)
-            raise InputError(f"table-csv output is only available for diameter curves ({curves})")
+        runner, taken, _ = SUBCOMMANDS[cfg.subcommand]
+        unread = [f"--{f.name}" for f in fields(cfg)[1:]
+                  if f.name not in taken + COMMON and getattr(cfg, f.name) != f.default]
+        if unread:
+            raise InputError(f"{cfg.subcommand} does not take {', '.join(unread)}")
         records, curve_report, code = runner(cfg)
     except (InputError, FileNotFoundError) as exc:
         _emit(cfg, format_records([{"status": "error", "exit_code": EXIT_USAGE,
@@ -554,6 +542,30 @@ def _vector(text):
     return vec
 
 
+def _seed(text):
+    """A seed for numpy's generators, which refuse a negative one."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+# every option's argparse arguments
+OPTIONS = {
+    "problem": dict(help="registry label (comma-separated for probe/replicate)"),
+    "config": dict(help="problem description file (YAML)"),
+    "grid": dict(type=int, help="lattice resolution per axis"),
+    "sigma": dict(type=float, help="target metric radius"),
+    "n": dict(type=int, help="strength index / sample count / probe bound"),
+    "seed": dict(type=_seed, help="seed for all randomness"),
+    "out": dict(help="write the report to this path instead of stdout"),
+    "format": dict(choices=FORMATS),
+    "point": dict(type=_vector, help="decision-space point"),
+    "y": dict(type=_vector, help="objective-space point"),
+    "xi": dict(type=_vector, help="dual functional"),
+    "depth": dict(type=int, help="schedule depth (powers of two)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wellposed",
@@ -561,22 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"wellposed {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    for name, (_, _, desc) in SUBCOMMANDS.items():
+    for name, (_, taken, desc) in SUBCOMMANDS.items():
         # an option not given is left out, so RunConfig supplies its default
         p = sub.add_parser(name, help=desc, description=desc,
                            argument_default=argparse.SUPPRESS)
-        p.add_argument("--problem", help="registry label (comma-separated for probe/replicate)")
-        p.add_argument("--config", help="problem description file (YAML)")
-        p.add_argument("--grid", type=int, help="lattice resolution per axis")
-        p.add_argument("--sigma", type=float, help="target metric radius")
-        p.add_argument("--n", type=int, help="strength index / sample count / probe bound")
-        p.add_argument("--seed", type=int, help="seed for all randomness")
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--format", choices=FORMATS)
-        p.add_argument("--point", type=_vector, help="decision-space point")
-        p.add_argument("--y", type=_vector, help="objective-space point")
-        p.add_argument("--xi", type=_vector, help="dual functional")
-        p.add_argument("--depth", type=int, help="schedule depth (powers of two)")
+        for option in taken + COMMON:
+            p.add_argument(f"--{option}", **OPTIONS[option])
     return parser
 
 

@@ -164,9 +164,10 @@ def test_sion_rejects_bad_domain():
 
 
 def test_sion_refuses_w_lattice_over_the_cap():
-    # 1500^2 = 2,250,000 points: above LATTICE_CAP, refused before allocation
-    with pytest.raises(InputError, match="lower w_resolution"):
-        sion_gap(np.eye(2), Box(np.zeros(2), np.ones(2)), w_resolution=1500)
+    # above LATTICE_CAP: Box.lattice refuses it before allocation
+    for w_resolution in (1500, 2000):
+        with pytest.raises(InputError, match=f"lattice of {w_resolution ** 2} points exceeds cap"):
+            sion_gap(np.eye(2), Box(np.zeros(2), np.ones(2)), w_resolution=w_resolution)
 
 
 def test_two_route_convexity_agreement():

@@ -2,6 +2,7 @@ import hashlib
 import re
 import shlex
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from wellposed import registry
 from wellposed.cli import (
-    SUBCOMMANDS, RunConfig, build_parser, format_records, main, replicate, run)
+    SUBCOMMANDS, RunConfig, _resolve, build_parser, format_records, main, replicate, run)
 
 CONFIG_TEXT = (
     "label: cfg-quad\n"
@@ -24,6 +25,13 @@ def run_cli(tmp_path, *argv):
     out = tmp_path / "report.txt"
     code = main(list(argv) + ["--out", str(out)])
     return code, out.read_text()
+
+
+def parser_exit(*argv):
+    """The exit code of an argv that argparse stops before the run."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code
 
 
 def parse_records(text):
@@ -76,11 +84,10 @@ def test_grid_above_the_lattice_budget_exits_two(tmp_path):
         "lattice of 10000000000 points exceeds the budget 100000000 of one pass")
 
 
-def test_csv_rejected_for_non_curve_subcommand(tmp_path):
-    code, text = run_cli(tmp_path, "classify", "--problem", "quad-pair",
-                         "--format", "table-csv")
-    assert code == 2
-    assert "status=error" in text
+def test_csv_rejected_for_non_curve_subcommand():
+    # only the two curve subcommands take --format
+    assert parser_exit("classify", "--problem", "quad-pair", "--format", "table-csv") == 2
+    assert run(RunConfig("classify", problem="quad-pair", format="table-csv")) == 2
 
 
 def test_unknown_label_exits_two(tmp_path):
@@ -100,9 +107,13 @@ def test_distance_requires_target_vector(tmp_path):
     ["tykhonov-check", "--problem", "quad-pair", "--xi", "1,-inf"],
 ])
 def test_non_finite_vectors_exit_two(argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert parser_exit(*argv) == 2
+
+
+@pytest.mark.parametrize("subcommand", ["analyze", "pipeline", "probe"])
+def test_negative_seed_exits_two(subcommand):
+    # numpy's generators refuse a negative seed; it once crashed with a traceback
+    assert parser_exit(subcommand, "--problem", "x-x2", "--seed", "-1") == 2
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -187,12 +198,8 @@ def box_config(d):
 def test_config_default_resolution_fits_the_lattice_cap(tmp_path, d, resolution):
     cfg = tmp_path / "p.yaml"
     cfg.write_text(box_config(d))
-    code, text = run_cli(tmp_path, "distance", "--config", str(cfg), "--y", "1,1")
-    assert code == 0
-    assert f"resolution={resolution}" in text.splitlines()
-    code, text = run_cli(tmp_path, "distance", "--config", str(cfg), "--y", "1,1",
-                         "--grid", "9")
-    assert "resolution=9" in text.splitlines()
+    assert _resolve(RunConfig("classify", config=str(cfg)))[1] == resolution
+    assert _resolve(RunConfig("classify", config=str(cfg), grid=9))[1] == 9
 
 
 QUADRANT_CONFIG = (
@@ -228,15 +235,18 @@ def test_problem_and_config_conflict(tmp_path):
     assert code == 2
 
 
-# probe once ran only the config file, and replicate ignored it, while the header echoed both
+# probe once ran only the config file, and replicate ignored it, while the header echoed both;
+# replicate takes no --config, so argparse refuses it (reason None)
 @pytest.mark.parametrize("argv, reason", [
     (["probe", "--problem", "quad-pair"], "pass either --problem or --config, not both"),
-    (["replicate", "--problem", "zero-function"],
-     "replicate re-derives the stored facts of registry problems; --config is not accepted"),
+    (["replicate", "--problem", "zero-function"], None),
 ], ids=["probe", "replicate"])
 def test_probe_and_replicate_refuse_problem_with_config(tmp_path, argv, reason):
     cfg = tmp_path / "p.yaml"
     cfg.write_text(CONFIG_TEXT)
+    if reason is None:
+        assert parser_exit(*argv, "--config", str(cfg)) == 2
+        return
     code, text = run_cli(tmp_path, *argv, "--config", str(cfg))
     assert code == 2
     assert parse_records(text)[0]["reason"] == reason
@@ -280,11 +290,10 @@ def test_replicate_every_registry_problem(tmp_path):
     assert records[-1] == {"record": "replicate-summary", "all_passed": "True"}
 
 
-def test_replicate_refuses_grid(tmp_path):
-    code, text = run_cli(tmp_path, "replicate", "--problem", "quad-2d", "--grid", "5")
-    assert code == 2
-    assert parse_records(text)[0]["reason"] == (
-        "replicate runs every assertion at the registry resolution; --grid is not accepted")
+def test_replicate_refuses_grid():
+    # every assertion runs at the registry resolution
+    assert parser_exit("replicate", "--problem", "quad-2d", "--grid", "5") == 2
+    assert run(RunConfig("replicate", problem="quad-2d", grid=5)) == 2
 
 
 def test_run_config_dataclass_round_trip():
@@ -324,3 +333,76 @@ def test_readme_commands_match_the_subcommand_table():
     assert {argv[0] for argv in commands} == set(SUBCOMMANDS)
     for argv in commands:
         build_parser().parse_args(argv)  # every option in the docs exists
+        build_parser().parse_args(argv + ["--seed", "0"])  # as the benchmark runs them
+
+
+# What each subcommand reads besides --seed and --out, written out here rather than
+# read from cli.SUBCOMMANDS, so that the parser is checked against it
+READS = {
+    "distance": {"problem", "config", "y", "n"},
+    "analyze": {"problem", "config", "xi"},
+    "classify": {"problem", "config", "grid", "point"},
+    "tykhonov-check": {"problem", "config", "grid", "format", "point", "xi", "depth"},
+    "dh-check": {"problem", "config", "grid", "format", "point", "depth"},
+    "perturb": {"problem", "config", "grid", "point", "n"},
+    "pipeline": {"problem", "config", "grid", "sigma"},
+    "probe": {"problem", "config", "grid", "sigma", "n"},
+    "replicate": {"problem"},
+}
+
+# a valid command per subcommand, its problem source first
+BASE = {
+    "distance": ["--problem", "quad-pair", "--y", "1,1"],
+    "analyze": ["--problem", "x-x2"],
+    "classify": ["--problem", "x-x2", "--point", "0.3"],
+    "tykhonov-check": ["--problem", "quad-pair", "--point", "0.5", "--grid", "21", "--depth", "4"],
+    "dh-check": ["--problem", "x-minus-x", "--point", "0.5", "--grid", "21", "--depth", "4"],
+    # -0.25 classifies efficient within the tolerance of 21 points, not of 101
+    "perturb": ["--problem", "quad-pair", "--point", "-0.25", "--grid", "21"],
+    "pipeline": ["--problem", "x-x2", "--grid", "21"],
+    "probe": ["--problem", "quad-pair", "--grid", "21"],
+    "replicate": ["--problem", "x-minus-x"],
+}
+
+# a value of every option (--config names CONFIG_TEXT in place of the --problem label);
+# each one that a subcommand reads changes its BASE report
+VALUES = {"problem": "zero-function", "config": None, "grid": "101", "sigma": "0.3", "n": "3",
+          "seed": "1", "out": "other.txt", "format": "table-csv", "point": "0", "y": "2,-1",
+          "xi": "1,2", "depth": "2"}
+
+# perturb's certificate does not vary with --grid: the grid decides whether the center
+# classifies efficient, which perturb requires (HypothesisNotMet, exit 2)
+REFUSED_VARIANTS = {("perturb", "grid")}
+
+
+def report_body(text):
+    """A report without its header record, which echoes every option."""
+    return text.split("\n\n", 1)[1] if text.startswith("version=") else text
+
+
+@pytest.mark.parametrize("subcommand", READS)
+def test_each_option_is_read_or_refused(tmp_path, subcommand):
+    cfg = tmp_path / "p.yaml"
+    cfg.write_text(CONFIG_TEXT)
+    base = [subcommand] + BASE[subcommand]
+    code, base_text = run_cli(tmp_path, *base)
+    assert code == 0
+    assert set(VALUES) == {f.name for f in fields(RunConfig)} - {"subcommand"}
+    accepted = set()
+    for option, value in VALUES.items():
+        if option == "config":
+            argv = [subcommand] + BASE[subcommand][2:] + ["--config", str(cfg)]
+        else:
+            argv = base + [f"--{option}", value]
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, option
+            continue
+        accepted.add(option)
+        if option not in ("seed", "out"):
+            code, text = run_cli(tmp_path, *argv)
+            # a report or a failed certificate (exit 1), not an input refusal
+            assert code in ((2,) if (subcommand, option) in REFUSED_VARIANTS else (0, 1)), option
+            assert report_body(text) != report_body(base_text), option
+    assert accepted == READS[subcommand] | {"seed", "out"}
