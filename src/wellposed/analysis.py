@@ -56,11 +56,15 @@ class StructuralVerdict:
         return self.verdict == EVIDENCE
 
 
-def _sample_pairs(box: Box, n, rng):
-    x = box.lower + (box.upper - box.lower) * rng.random((n, box.dim))
-    z = box.lower + (box.upper - box.lower) * rng.random((n, box.dim))
-    t = rng.random(n)
-    return x, z, t
+def _sample_pairs(problem: VectorProblem, seed):
+    """SCREEN_SAMPLES seeded triples (x, z, t) in the box and f at x, at z
+    and at their combination t*x + (1-t)*z."""
+    box, rng = problem.domain, np.random.default_rng(seed)
+    x = box.lower + (box.upper - box.lower) * rng.random((SCREEN_SAMPLES, box.dim))
+    z = box.lower + (box.upper - box.lower) * rng.random((SCREEN_SAMPLES, box.dim))
+    t = rng.random(SCREEN_SAMPLES)
+    fx, fz = problem.evaluate(x), problem.evaluate(z)
+    return x, z, t, fx, fz, problem.evaluate(x + (1.0 - t)[:, None] * (z - x))
 
 
 def is_C_convex(problem: VectorProblem, seed=0) -> StructuralVerdict:
@@ -70,12 +74,8 @@ def is_C_convex(problem: VectorProblem, seed=0) -> StructuralVerdict:
     random triples; route B tests per-dual-generator second differences
     along uniform segment grids.  Either route's violation wins.
     """
-    rng = np.random.default_rng(seed)
     cone = problem.cone
-    x, z, t = _sample_pairs(problem.domain, SCREEN_SAMPLES, rng)
-    fx, fz = problem.evaluate(x), problem.evaluate(z)
-    mid = x + (1.0 - t)[:, None] * (z - x)  # t*x + (1-t)*z
-    fmid = problem.evaluate(mid)
+    x, z, t, fx, fz, fmid = _sample_pairs(problem, seed)
     gap = t[:, None] * fx + (1.0 - t)[:, None] * fz - fmid
     scale = 1.0 + np.abs(np.concatenate([fx, fz, fmid])).max()
     margins = cone.margins(gap)
@@ -123,12 +123,8 @@ def is_C_convex(problem: VectorProblem, seed=0) -> StructuralVerdict:
 
 def is_star_quasiconvex(problem: VectorProblem, seed=0) -> StructuralVerdict:
     """Quasiconvexity of every sampled dual scalarization <xi, f>."""
-    rng = np.random.default_rng(seed)
     dirs = problem.cone.sample_dual_sphere(SCREEN_DIRECTIONS)
-    x, z, t = _sample_pairs(problem.domain, SCREEN_SAMPLES, rng)
-    fx, fz = problem.evaluate(x), problem.evaluate(z)
-    mid = x + (1.0 - t)[:, None] * (z - x)
-    fmid = problem.evaluate(mid)
+    x, z, t, fx, fz, fmid = _sample_pairs(problem, seed)
     witness = None
     worst = -np.inf
     for xi in dirs:

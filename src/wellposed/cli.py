@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -487,8 +488,28 @@ SUBCOMMANDS = {
 FORMATS = ("record-text", "table-csv")
 
 
+def _usage_error(exc):
+    return format_records([{"status": "error", "exit_code": EXIT_USAGE, "reason": str(exc)}])
+
+
 def run(cfg: RunConfig) -> int:
-    """Execute one configuration and write its report; returns exit code."""
+    """Execute one configuration and write its report; returns exit code.
+
+    The report file is opened before any work, so a path that cannot be
+    written ends the run at once, with its error record on stdout."""
+    try:
+        sink = open(cfg.out, "w", encoding="utf-8") if cfg.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        sys.stdout.write(_usage_error(exc))
+        return EXIT_USAGE
+    with sink as out:
+        code, text = _report(cfg)
+        out.write(text)
+    return code
+
+
+def _report(cfg: RunConfig):
+    """(exit code, report text) of one configuration."""
     try:
         if cfg.subcommand not in SUBCOMMANDS:
             raise InputError(f"unknown subcommand {cfg.subcommand!r}")
@@ -501,31 +522,17 @@ def run(cfg: RunConfig) -> int:
             raise InputError(f"{cfg.subcommand} does not take {', '.join(unread)}")
         records, curve_report, code = runner(cfg)
     except (InputError, FileNotFoundError) as exc:
-        _emit(cfg, format_records([{"status": "error", "exit_code": EXIT_USAGE,
-                                    "reason": str(exc)}]))
-        return EXIT_USAGE
+        return EXIT_USAGE, _usage_error(exc)
     except (HypothesisNotMet, NoBoundingFunctional, CertificateFailure,
             NumericalFailure, WellposedError) as exc:
         reason = {"status": "failed", "exit_code": EXIT_FAILED,
                   "error_type": type(exc).__name__, "reason": str(exc)}
         if isinstance(exc, CertificateFailure):
             reason["clause"] = exc.clause
-        _emit(cfg, format_records([reason]))
-        return EXIT_FAILED
-
+        return EXIT_FAILED, format_records([reason])
     if cfg.format == "table-csv":
-        _emit(cfg, format_curve_csv(curve_report))
-    else:
-        _emit(cfg, format_records(records))
-    return code
-
-
-def _emit(cfg: RunConfig, text: str):
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return code, format_curve_csv(curve_report)
+    return code, format_records(records)
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +556,18 @@ def _seed(text):
     return int(text)
 
 
-# every option's argparse arguments
+# every option's argparse arguments; a help given per subcommand is a dict
 OPTIONS = {
     "problem": dict(help="registry label (comma-separated for probe/replicate)"),
     "config": dict(help="problem description file (YAML)"),
     "grid": dict(type=int, help="lattice resolution per axis"),
     "sigma": dict(type=float, help="target metric radius"),
-    "n": dict(type=int, help="strength index / sample count / probe bound"),
+    # --n counts something different in each subcommand that takes it
+    "n": dict(type=int, help={
+        "distance": "dual samples of the sampled distance check (default 2048)",
+        "perturb": "strength index n of the (1/n)-scaled regularization (default 1)",
+        "probe": "probe bound: a level with diameter below 1/n for each n up to it "
+                 "(default 8)"}),
     "seed": dict(type=_seed, help="seed for all randomness"),
     "out": dict(help="write the report to this path instead of stdout"),
     "format": dict(choices=FORMATS),
@@ -578,7 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc, description=desc,
                            argument_default=argparse.SUPPRESS)
         for option in taken + COMMON:
-            p.add_argument(f"--{option}", **OPTIONS[option])
+            spec = OPTIONS[option]
+            if isinstance(spec.get("help"), dict):
+                spec = {**spec, "help": spec["help"][name]}
+            p.add_argument(f"--{option}", **spec)
     return parser
 
 

@@ -142,25 +142,24 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
     The start is snapped to the nearest lattice point; the hypothesis
     sp(start) < inf + r*epsilon is checked there.  Ties in the argmin
     resolve lexicographically, which forces strict objective descent and
-    hence termination.  A caller that already holds sp's lattice values
-    in C order (as Box.map_lattice returns them) passes them as `values`,
-    and the lattice is not evaluated again; a non-finite value, given or
-    evaluated, raises InputError.  The descent and uniqueness checks allow
-    a slack of EKELAND_TOL.
+    hence termination.  Each step streams the lattice (Box.map_lattice).
+    A caller that already holds sp's lattice values in C order passes
+    them as `values`, and the lattice is not evaluated again; a non-finite
+    value, given or evaluated, raises InputError.  The descent and
+    uniqueness checks allow a slack of EKELAND_TOL.
     """
     for name, value in (("epsilon", epsilon), ("r", r)):
         if not 0 < value < np.inf:
             raise InputError(f"{name} must be positive and finite, got {value}")
-    total = sp.domain.lattice_size(grid_resolution)
-    points = sp.domain.lattice(grid_resolution)
+    box, total = sp.domain, sp.domain.lattice_size(grid_resolution)
     if values is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = sp.evaluate(points)
+        values = lattice_values(sp, grid_resolution)
     elif np.shape(values) != (total,):
         raise InputError(f"values must hold one value per lattice point ({total})")
-    finite_on_lattice(values)
+    else:
+        finite_on_lattice(values)
 
-    x0, flat0 = sp.domain.nearest_lattice_point(grid_resolution, x_start)
+    x0, flat0 = box.nearest_lattice_point(grid_resolution, x_start)
     inf = float(values.min())
     if not values[flat0] < inf + r * epsilon:
         raise HypothesisNotMet(
@@ -169,7 +168,9 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
     cur = flat0
     iterations = 0
     while True:
-        weights = values + epsilon * row_norm(points - points[cur])
+        x_hat = box.lattice_points_at(grid_resolution, [cur])[0]
+        weights = values + epsilon * box.map_lattice(grid_resolution,
+                                                     lambda p: row_norm(p - x_hat))
         nxt = int(np.argmin(weights))  # first minimum = lexicographically smallest
         if nxt == cur:
             break
@@ -178,13 +179,12 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
         if iterations > total:
             raise CertificateFailure("descent failed to terminate", clause="termination")
 
-    x_hat = points[cur]
     dist_start = float(np.linalg.norm(x_hat - x0))
-    final = values + epsilon * row_norm(points - x_hat) - values[cur]
+    final = weights - values[cur]  # the fixed point's weights, from the last step
     final[cur] = np.inf
-    min_margin = float(final.min()) if total > 1 else np.inf
+    min_margin = float(final.min())
     descent_slack = float(values[flat0] - epsilon * dist_start - values[cur])
-    spacing = sp.domain.lattice_spacing(grid_resolution)
+    spacing = box.lattice_spacing(grid_resolution)
     return EkelandResult(
         x_hat=x_hat, x_start=x0, value=float(values[cur]), epsilon=float(epsilon),
         r=float(r), iterations=iterations, distance_to_start=dist_start,

@@ -240,3 +240,38 @@ def exact_level_members(images, levels, dual_generators, tol, band=1e-12):
             gaps[k, i] = abs(margin - floor) / den  # int / int rounds once
     widths = band * (np.abs(levels).sum(axis=1)[:, None] + np.abs(images).sum(axis=1) + tol)
     return members, gaps <= widths
+
+
+def ekeland_on_the_whole_lattice(sp, x_start, epsilon, r, resolution, values=None,
+                                 tol=1e-9):
+    """The discrete Ekeland descent with the lattice held in memory: the
+    (N, d) point array, built without a size cap, and the full weights
+    values + eps*||x - x_cur|| recomputed at every step and once more at
+    the fixed point.  Ties go to the first flat index.  Returns the fields
+    of an EkelandResult as a dict; the hypothesis on the start is the
+    caller's to meet."""
+    box = sp.domain
+    total = resolution ** box.dim
+    points = box.lattice_points_at(resolution, np.arange(total))
+    if values is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = sp.evaluate(points)
+    x0, cur = box.nearest_lattice_point(resolution, x_start)
+    flat0, iterations = cur, 0
+    while True:
+        nxt = int(np.argmin(values + epsilon * np.linalg.norm(points - points[cur], axis=1)))
+        if nxt == cur:
+            break
+        cur, iterations = nxt, iterations + 1
+    x_hat = points[cur]
+    dist_start = float(np.linalg.norm(x_hat - x0))
+    final = values + epsilon * np.linalg.norm(points - x_hat, axis=1) - values[cur]
+    final[cur] = np.inf
+    min_margin = float(final.min()) if total > 1 else np.inf
+    slack = float(values[flat0] - epsilon * dist_start - values[cur])
+    return dict(
+        x_hat=x_hat, x_start=x0, value=float(values[cur]), epsilon=float(epsilon),
+        r=float(r), iterations=iterations, distance_to_start=dist_start,
+        within_radius=bool(dist_start < r + box.lattice_spacing(resolution)),
+        descent_holds=bool(slack >= -tol), descent_slack=slack, min_margin=min_margin,
+        unique_minimizer=bool(min_margin > tol), grid_resolution=resolution)

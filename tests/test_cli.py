@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wellposed import registry
+from wellposed import cli, registry
 from wellposed.cli import (
     SUBCOMMANDS, RunConfig, _resolve, build_parser, format_records, main, replicate, run)
 
@@ -84,6 +84,13 @@ def test_grid_above_the_lattice_budget_exits_two(tmp_path):
         "lattice of 10000000000 points exceeds the budget 100000000 of one pass")
 
 
+def test_pipeline_runs_above_the_lattice_store_cap(tmp_path):
+    # every pipeline step streams the lattice, so only the pass budget bounds --grid
+    code, text = run_cli(tmp_path, "pipeline", "--problem", "x-x2", "--grid", "2000001")
+    assert code == 0
+    assert "dh_verdict=well_posed_evidence" in text.splitlines()
+
+
 def test_csv_rejected_for_non_curve_subcommand():
     # only the two curve subcommands take --format
     assert parser_exit("classify", "--problem", "quad-pair", "--format", "table-csv") == 2
@@ -99,6 +106,22 @@ def test_unknown_label_exits_two(tmp_path):
 def test_distance_requires_target_vector(tmp_path):
     code, text = run_cli(tmp_path, "distance", "--problem", "quad-pair")
     assert code == 2
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_out_path_that_cannot_be_written_exits_two_before_any_work(
+        tmp_path, monkeypatch, capsys, where):
+    out = tmp_path / "missing" / "r.txt" if where == "missing-directory" else tmp_path
+
+    def no_work(*_):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "_resolve", no_work)
+    assert main(["distance", "--problem", "quad-pair", "--y", "1,1", "--out", str(out)]) == 2
+    (rec,) = parse_records(capsys.readouterr().out)
+    assert rec["status"] == "error" and rec["exit_code"] == "2"
+    assert str(out) in rec["reason"]
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellposed import (
     Box,
@@ -10,6 +12,7 @@ from wellposed import (
     HypothesisNotMet,
     InputError,
     NoBoundingFunctional,
+    ScalarProblem,
     VectorProblem,
     WELL_POSED,
     YES,
@@ -23,7 +26,9 @@ from wellposed import (
     tikhonov_regularize,
 )
 
-from oracles import evp_violations
+from wellposed.problem import LATTICE_CAP
+
+from oracles import ekeland_on_the_whole_lattice, evp_violations
 
 
 def prob(fn, m, lower, upper, label="p"):
@@ -206,6 +211,57 @@ def test_ekeland_refuses_non_finite_epsilon_and_r(epsilon, r, name):
     sp = scalar_problem(lambda t: (t - 0.5) ** 2, [-2.0], [2.0])
     with pytest.raises(InputError, match=f"^{name} must be positive and finite"):
         ekeland_point(sp, [0.5], epsilon, r, grid_resolution=201)
+
+
+def walk_problem(rng, d, res):
+    """A scalar problem whose lattice values are a random walk rounded to
+    integers, read off by each point's flat index.  The lattice is a cube
+    with a dyadic step, so that mirror points lie at equal distances and
+    about one draw in ten meets a tied argmin."""
+    lower = rng.integers(-3, 1, d).astype(float)
+    step = 2.0 ** -int(rng.integers(0, 3))
+    box = Box(lower, lower + (res - 1) * step)
+    walk = np.round(np.cumsum(rng.normal(size=res ** d)) / 2)
+
+    def ev(x):
+        idx = np.rint((x - box.lower) / step).astype(np.int64)
+        return walk[np.ravel_multi_index(tuple(idx.T), (res,) * d)]
+
+    return ScalarProblem("walk", d, ev, box), walk
+
+
+def field_bits(fields):
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v) for k, v in fields.items()}
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_ekeland_matches_the_whole_lattice_oracle(d, pass_values, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    res = int(rng.integers(2, (60, 16, 8)[d - 1]))
+    sp, walk = walk_problem(rng, d, res)
+    box = sp.domain
+    start = box.lower + rng.random(d) * (box.upper - box.lower)
+    epsilon = float(rng.choice([0.05, 0.3, 0.5, 1.0, 4.0]))
+    _, flat0 = box.nearest_lattice_point(res, start)
+    r = float(walk[flat0] - walk.min()) / epsilon + 1.0
+    values = walk if pass_values else None
+    got = ekeland_point(sp, start, epsilon, r, res, values=values)
+    want = ekeland_on_the_whole_lattice(sp, start, epsilon, r, res, values=values)
+    assert field_bits(dataclasses.asdict(got)) == field_bits(want)
+
+
+def test_ekeland_streams_a_lattice_above_the_store_cap():
+    # Box.lattice refuses this lattice; the descent never builds it
+    res = LATTICE_CAP + 1
+    sp = ScalarProblem("plateau", 1, lambda x: np.round((x[:, 0] - 0.3) ** 2, 3),
+                       Box(np.array([-1.0]), np.array([1.0])))
+    with pytest.raises(InputError, match="exceeds cap"):
+        sp.domain.lattice(res)
+    got = ekeland_point(sp, [0.9], 0.5, 4.0, res)
+    want = ekeland_on_the_whole_lattice(sp, [0.9], 0.5, 4.0, res)
+    assert got.iterations > 0
+    assert field_bits(dataclasses.asdict(got)) == field_bits(want)
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0])
