@@ -19,7 +19,7 @@ from ._rows import row_max, row_min
 from .cone import simplex_lattice
 from .diagnostics import INCONCLUSIVE
 from .errors import InputError, NumericalFailure
-from .problem import Box, VectorProblem, dual_vector
+from .problem import Box, VectorProblem, dual_vector, finite_values
 
 EVIDENCE = "evidence_holds"
 COUNTEREXAMPLE = "counterexample_found"
@@ -58,13 +58,14 @@ class StructuralVerdict:
 
 def _sample_pairs(problem: VectorProblem, seed):
     """SCREEN_SAMPLES seeded triples (x, z, t) in the box and f at x, at z
-    and at their combination t*x + (1-t)*z."""
+    and at their combination t*x + (1-t)*z, refused if not finite."""
     box, rng = problem.domain, np.random.default_rng(seed)
     x = box.lower + (box.upper - box.lower) * rng.random((SCREEN_SAMPLES, box.dim))
     z = box.lower + (box.upper - box.lower) * rng.random((SCREEN_SAMPLES, box.dim))
     t = rng.random(SCREEN_SAMPLES)
-    fx, fz = problem.evaluate(x), problem.evaluate(z)
-    return x, z, t, fx, fz, problem.evaluate(x + (1.0 - t)[:, None] * (z - x))
+    fx, fz, fmid = (finite_values(problem.evaluate(pts), "the screens' sample points")
+                    for pts in (x, z, x + (1.0 - t)[:, None] * (z - x)))
+    return x, z, t, fx, fz, fmid
 
 
 def is_C_convex(problem: VectorProblem, seed=0) -> StructuralVerdict:

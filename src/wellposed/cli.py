@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed certificate or assertion, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -255,6 +256,8 @@ def _run_classify(cfg: RunConfig):
 
 def _run_tykhonov(cfg: RunConfig):
     (problem,), resolution, point, entry = _resolve(cfg)
+    if cfg.xi is not None and cfg.point is not None:
+        raise InputError("pass either --xi or --point, not both")
     if cfg.xi is not None:
         sp = scalarize_linear(problem, np.asarray(cfg.xi, dtype=float))
         route = "linear"
@@ -492,14 +495,25 @@ def _usage_error(exc):
     return format_records([{"status": "error", "exit_code": EXIT_USAGE, "reason": str(exc)}])
 
 
+def _same_file(a, b):
+    """Whether paths a and b name one file; b need not exist."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one configuration and write its report; returns exit code.
 
     The report file is opened before any work, so a path that cannot be
-    written ends the run at once, with its error record on stdout."""
+    written, or that names the --config file it would overwrite, ends the
+    run at once, with its error record on stdout."""
     try:
+        if cfg.out and cfg.config and _same_file(cfg.config, cfg.out):
+            raise InputError(f"--out {cfg.out} names the --config file, which it would overwrite")
         sink = open(cfg.out, "w", encoding="utf-8") if cfg.out else nullcontext(sys.stdout)
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         sys.stdout.write(_usage_error(exc))
         return EXIT_USAGE
     with sink as out:

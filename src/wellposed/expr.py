@@ -3,6 +3,8 @@
 Supports exactly: + - * / ^ (right associative), unary minus, parentheses,
 float literals, variables x1..xd (plain x is accepted for one-dimensional
 problems), and the functions exp, abs, norm (norm is n-ary Euclidean).
+Python's parser reads the tokens back as source (^ as **) and any node
+outside that language is refused, as is one nested deeper than MAX_DEPTH.
 Expressions compile to vectorized closures over an (n, d) point array; no
 eval, no attribute access, nothing dynamic.
 
@@ -17,8 +19,7 @@ that overflow to inf are refused.  Evaluation silences floating-point
 errors; callers check the images for finiteness.
 """
 
-from __future__ import annotations
-
+import ast
 import math
 import re
 
@@ -34,6 +35,8 @@ _TOKEN = re.compile(
 
 _FUNCTIONS = {"exp", "abs", "norm"}
 
+MAX_DEPTH = 900  # closures nest one frame a level: 100 of Python's default 1000 stay free
+
 
 def _tokenize(text):
     pos, out = 0, []
@@ -41,33 +44,36 @@ def _tokenize(text):
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ConfigError(f"bad character in expression at offset {pos}: {text[pos:pos + 10]!r}")
-        if m.lastgroup == "num":
-            v = float(m.group("num"))
-            if not math.isfinite(v):
-                raise ConfigError(f"number literal out of range at offset {m.start('num')}: "
-                                  f"{m.group('num')!r}")
-            out.append(("num", v))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
+        kind = m.lastgroup
+        value = float(m.group(kind)) if kind == "num" else m.group(kind)
+        if kind == "num" and not math.isfinite(value):
+            raise ConfigError(f"number literal out of range at offset {m.start(kind)}: "
+                              f"{m.group(kind)!r}")
+        out.append((kind, value))
         pos = m.end()
-    out.append(("end", None))
     return out
 
 
 # A compiled node is either a float64 constant or a closure over the points;
 # _un and _bin apply f to nodes, folding when every operand is a constant.
-# A closure other than a variable returns a new array that only its parent
-# reads, so the parent writes its result over it, as NumPy does for the
-# temporaries of an operator expression: an elementwise ufunc gives the
-# same bits into any output, and a scan touches less memory.
+# A closure other than a variable (depth 1, a view of the points) returns a
+# new array that only its parent reads, so the parent writes its result over
+# it, as NumPy does for the temporaries of an operator expression: an
+# elementwise ufunc gives the same bits into any output, and a scan touches
+# less memory.  A closure's depth is the frames evaluating it takes.
 def _owned(node):
-    return not isinstance(node, np.float64) and not getattr(node, "is_view", False)
+    return getattr(node, "depth", 0) > 1
 
 
 def _into(f, *operands, dest):
     return f(*operands, out=operands[dest])
+
+
+def _nested(closure, *operands):
+    closure.depth = 1 + max(getattr(node, "depth", 0) for node in operands)
+    if closure.depth > MAX_DEPTH:
+        raise ConfigError(f"expression nested deeper than {MAX_DEPTH} operations")
+    return closure
 
 
 def _un(node, f):
@@ -75,8 +81,8 @@ def _un(node, f):
         with np.errstate(all="ignore"):
             return np.float64(f(node))
     if _owned(node):
-        return lambda p: _into(f, node(p), dest=0)
-    return lambda p: f(node(p))
+        return _nested(lambda p: _into(f, node(p), dest=0), node)
+    return _nested(lambda p: f(node(p)), node)
 
 
 def _bin(a, b, f):
@@ -88,118 +94,82 @@ def _bin(a, b, f):
     eb = (lambda p: b) if const_b else b
     if _owned(a) or _owned(b):
         dest = 0 if _owned(a) else 1
-        return lambda p: _into(f, ea(p), eb(p), dest=dest)
-    return lambda p: f(ea(p), eb(p))
+        return _nested(lambda p: _into(f, ea(p), eb(p), dest=dest), a, b)
+    return _nested(lambda p: f(ea(p), eb(p)), a, b)
 
 
 def _column(j):
     def column(p):
         return p[:, j]
 
-    column.is_view = True  # a view of the points: never written over
+    column.depth = 1
     return column
 
 
-class _Parser:
-    def __init__(self, tokens, decision_dim):
-        self.tokens = tokens
-        self.pos = 0
-        self.dim = decision_dim
+def _parse(text):
+    """Python's parse tree of the tokens of text: numbers as their repr, ^ as **."""
+    source = " ".join(repr(v) if kind == "num" else "**" if v == "^" else v
+                      for kind, v in _tokenize(text))
+    if ", )" in source:  # Python takes a trailing comma in a call; the language does not
+        raise ConfigError("trailing comma in a function call")
+    try:
+        return ast.parse(source, mode="eval").body
+    except (SyntaxError, RecursionError, MemoryError) as exc:  # the last two: too deep
+        reason = exc.msg if isinstance(exc, SyntaxError) else "nested too deeply"
+        raise ConfigError(f"malformed expression: {reason}") from None
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+_ARITHMETIC = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+               ast.Div: np.divide, ast.Pow: np.power}
 
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ConfigError(f"expected {op!r}, found {val!r}")
 
-    def parse(self):
-        node = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise ConfigError(f"trailing input in expression near {val!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            node = _bin(node, self.term(), np.add if op == "+" else np.subtract)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            node = _bin(node, self.unary(), np.multiply if op == "*" else np.divide)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return _un(self.unary(), np.negative)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            exponent = self.unary()
-            if isinstance(exponent, np.float64) and exponent == 2.0:
-                return _un(base, np.square)
-            return _bin(base, exponent, np.power)
-        return base
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return np.float64(val)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                return self.call(val)
-            return self.variable(val)
-        raise ConfigError(f"unexpected token {val!r}")
-
-    def call(self, name):
+def _node(node, dim):
+    """Compile one parse-tree node, refusing any outside the language: a
+    generator that yields each operand, left to right, and is sent it compiled."""
+    if isinstance(node, ast.Constant) and type(node.value) is float:
+        return np.float64(node.value)
+    if isinstance(node, ast.Name):
+        digits = node.id[1:] if re.fullmatch(r"x[1-9]\d*", node.id) else "0"
+        j = 1 if node.id == "x" and dim == 1 else int(digits)
+        if not 1 <= j <= dim:
+            raise ConfigError(f"unknown name {node.id!r} (variables are x1..x{dim})")
+        return _column(j - 1)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _un((yield node.operand), np.negative)
+    if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
+        a, b = (yield node.left), (yield node.right)
+        if isinstance(node.op, ast.Pow) and isinstance(b, np.float64) and b == 2.0:
+            return _un(a, np.square)
+        return _bin(a, b, _ARITHMETIC[type(node.op)])
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords
+            and node.func.col_offset == node.col_offset):  # exp(x), not (exp)(x)
+        name = node.func.id
         if name not in _FUNCTIONS:
             raise ConfigError(f"unknown function {name!r} (allowed: exp, abs, norm)")
-        self.expect_op("(")
-        args = [self.expr()]
-        while self.peek() == ("op", ","):
-            self.take()
-            args.append(self.expr())
-        self.expect_op(")")
-        if name in ("exp", "abs") and len(args) != 1:
-            raise ConfigError(f"{name} takes exactly one argument")
-        if name == "exp":
-            return _un(args[0], np.exp)
-        if name == "abs":
-            return _un(args[0], np.abs)
-        total = _un(args[0], np.square)
-        for a in args[1:]:
-            total = _bin(total, _un(a, np.square), np.add)
+        if len(node.args) != 1 and not (name == "norm" and node.args):
+            many = "at least" if name == "norm" else "exactly"
+            raise ConfigError(f"{name} takes {many} one argument")
+        if name != "norm":
+            return _un((yield node.args[0]), np.exp if name == "exp" else np.abs)
+        total = _un((yield node.args[0]), np.square)
+        for arg in node.args[1:]:
+            total = _bin(total, _un((yield arg), np.square), np.add)
         return _un(total, np.sqrt)
+    raise ConfigError(f"unsupported syntax in expression: {type(node).__name__}")
 
-    def variable(self, name):
-        if name == "x" and self.dim == 1:
-            return _column(0)
-        m = re.fullmatch(r"x([1-9]\d*)", name)
-        if m is None:
-            raise ConfigError(f"unknown name {name!r} (variables are x1..x{self.dim})")
-        j = int(m.group(1))
-        if not 1 <= j <= self.dim:
-            raise ConfigError(f"variable {name!r} out of range for decision_dim {self.dim}")
-        return _column(j - 1)
+
+def _compile(tree, dim):
+    """Compile a parse tree without recursion, as a sum of n terms is a tree n
+    deep: a stack of _node generators, each sent its operands' compiled forms."""
+    stack, value = [_node(tree, dim)], None
+    while stack:
+        try:
+            stack.append(_node(stack[-1].send(value), dim))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
 
 
 def parse_expression(text, decision_dim):
@@ -208,7 +178,7 @@ def parse_expression(text, decision_dim):
         raise ConfigError("expression must be a nonempty string")
     if decision_dim < 1:
         raise ConfigError("decision_dim must be >= 1")
-    node = _Parser(_tokenize(text), decision_dim).parse()
+    node = _compile(_parse(text), decision_dim)
     if isinstance(node, np.float64):
         return lambda p: np.full(p.shape[0], node)
 

@@ -37,7 +37,7 @@ from .problem import (
     METRIC_TRUNCATION,
     ScalarProblem,
     VectorProblem,
-    finite_on_lattice,
+    finite_values,
     function_distance,
     lattice_values,
     perturb,
@@ -157,7 +157,7 @@ def ekeland_point(sp: ScalarProblem, x_start, epsilon, r, grid_resolution=201,
     elif np.shape(values) != (total,):
         raise InputError(f"values must hold one value per lattice point ({total})")
     else:
-        finite_on_lattice(values)
+        finite_values(values)
 
     x0, flat0 = box.nearest_lattice_point(grid_resolution, x_start)
     inf = float(values.min())
@@ -267,8 +267,9 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201, seed=0)
 
     Steps: find a bounding functional, rescale k0 against it, pull the
     norm-cone base perturbation inside sigma/2, run the discrete Ekeland
-    step on the linear scalarization, add the Ekeland cone term, and verify
-    efficiency, DH evidence, and all metric budgets.
+    step on the linear scalarization and check the facts it records, add the
+    Ekeland cone term, and verify efficiency, DH evidence, and all metric
+    budgets.
     """
     if not 0 < sigma < np.inf:
         raise InputError(f"sigma must be positive and finite, got {sigma}")
@@ -306,6 +307,9 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201, seed=0)
     r = max(2.0 * radius, 2.0 * spacing)
     start_point = box.lattice_points_at(grid_resolution, [argmin_flat])[0]
     ek = ekeland_point(g_xi, start_point, epsilon, r, grid_resolution, values=values)
+    for fact in ("within_radius", "descent_holds", "unique_minimizer"):
+        if not getattr(ek, fact):
+            raise CertificateFailure(f"the Ekeland point fails {fact}", clause="ekeland")
 
     h = replace(perturb(g, epsilon, ek.x_hat, k0r), label=f"{problem.label}+cert")
 

@@ -465,22 +465,22 @@ def finite_image(problem: VectorProblem, x_bar):
     return x_bar, f_bar
 
 
-def finite_on_lattice(values):
+def finite_values(values, where="the lattice"):
     """values, refused with InputError if any is not finite: a NaN compares
     false everywhere, so a scan would drop its point silently."""
     if not np.isfinite(values).all():
-        raise InputError("objective must be finite on the lattice")
+        raise InputError(f"objective must be finite on {where}")
     return values
 
 
 def lattice_image(problem: VectorProblem, points):
     """f on a batch of lattice points, refused if not finite."""
-    return finite_on_lattice(problem.evaluate(points))
+    return finite_values(problem.evaluate(points))
 
 
 def lattice_values(sp: ScalarProblem, grid_resolution):
     """sp on its whole lattice in C order (Box.map_lattice), refused if not finite."""
-    return finite_on_lattice(sp.domain.map_lattice(grid_resolution, sp.evaluate))
+    return finite_values(sp.domain.map_lattice(grid_resolution, sp.evaluate))
 
 
 def scalarize_linear(problem: VectorProblem, xi) -> ScalarProblem:
@@ -596,7 +596,10 @@ def _ball_battery(box: Box, anchor, radius):
 
 
 def function_distance(p: VectorProblem, q: VectorProblem) -> float:
-    """Metric between two vector problems sharing a domain box; value in [0, 1]."""
+    """Metric between two vector problems sharing a domain box; value in [0, 1].
+
+    A non-finite image at a sample point is refused; a finite sup above
+    METRIC_OVERFLOW, or one whose norm overflows, gives 1."""
     if not (np.allclose(p.domain.lower, q.domain.lower) and np.allclose(p.domain.upper, q.domain.upper)):
         raise InputError("problems must share a domain box")
     box = p.domain
@@ -615,7 +618,9 @@ def function_distance(p: VectorProblem, q: VectorProblem) -> float:
         samples = box.clip(anchor[None, :] + (radii / norms)[:, None] * dirs)
         pts = np.vstack([probes, samples])
         with np.errstate(over="ignore", invalid="ignore"):
-            u = float(np.max(row_norm(p.evaluate(pts) - q.evaluate(pts))))
+            fp, fq = (finite_values(side.evaluate(pts), "the metric's sample points")
+                      for side in (p, q))
+            u = float(np.max(row_norm(fp - fq)))
         if not np.isfinite(u) or u > METRIC_OVERFLOW:
             return 1.0
         total += 2.0 ** (-i) * u / (1.0 + u)

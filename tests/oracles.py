@@ -3,9 +3,12 @@
 Everything here is deliberately written from scratch (closed forms, dense
 scans, plain loops) rather than imported from the package, so a test
 failure localizes to either the library or the oracle but never to shared
-code.
+code.  The one exception is DescentParser, which checks only the parse: it
+shares the package's lexer and node builders, so equal parses give equal
+closures and bit-identical images.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -13,6 +16,9 @@ from math import gcd
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
+
+from wellposed.errors import ConfigError
+from wellposed.expr import _bin, _column, _tokenize, _un
 
 
 def orthant_distance(y):
@@ -275,3 +281,125 @@ def ekeland_on_the_whole_lattice(sp, x_start, epsilon, r, resolution, values=Non
         within_radius=bool(dist_start < r + box.lattice_spacing(resolution)),
         descent_holds=bool(slack >= -tol), descent_slack=slack, min_margin=min_margin,
         unique_minimizer=bool(min_margin > tol), grid_resolution=resolution)
+
+
+class DescentParser:
+    """The recursive-descent parser the expression compiler used before it
+    read Python's parse tree: one method per precedence level (expr: + -,
+    term: * /, unary: -, power: ^ right associative, atom), each building
+    its node with the package's builders in the order it reads the
+    operands, so its closures are the compiler's and their images can be
+    compared bit for bit."""
+
+    def __init__(self, tokens, decision_dim):
+        self.tokens = tokens + [("end", None)]
+        self.pos = 0
+        self.dim = decision_dim
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, val = self.take()
+        if kind != "op" or val != op:
+            raise ConfigError(f"expected {op!r}, found {val!r}")
+
+    def parse(self):
+        node = self.expr()
+        kind, val = self.peek()
+        if kind != "end":
+            raise ConfigError(f"trailing input in expression near {val!r}")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+            _, op = self.take()
+            node = _bin(node, self.term(), np.add if op == "+" else np.subtract)
+        return node
+
+    def term(self):
+        node = self.unary()
+        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
+            _, op = self.take()
+            node = _bin(node, self.unary(), np.multiply if op == "*" else np.divide)
+        return node
+
+    def unary(self):
+        if self.peek() == ("op", "-"):
+            self.take()
+            return _un(self.unary(), np.negative)
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek() == ("op", "^"):
+            self.take()
+            exponent = self.unary()
+            if isinstance(exponent, np.float64) and exponent == 2.0:
+                return _un(base, np.square)
+            return _bin(base, exponent, np.power)
+        return base
+
+    def atom(self):
+        kind, val = self.take()
+        if kind == "num":
+            return np.float64(val)
+        if kind == "op" and val == "(":
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        if kind == "name":
+            if self.peek() == ("op", "("):
+                return self.call(val)
+            return self.variable(val)
+        raise ConfigError(f"unexpected token {val!r}")
+
+    def call(self, name):
+        if name not in ("exp", "abs", "norm"):
+            raise ConfigError(f"unknown function {name!r} (allowed: exp, abs, norm)")
+        self.expect_op("(")
+        args = [self.expr()]
+        while self.peek() == ("op", ","):
+            self.take()
+            args.append(self.expr())
+        self.expect_op(")")
+        if name in ("exp", "abs") and len(args) != 1:
+            raise ConfigError(f"{name} takes exactly one argument")
+        if name == "exp":
+            return _un(args[0], np.exp)
+        if name == "abs":
+            return _un(args[0], np.abs)
+        total = _un(args[0], np.square)
+        for a in args[1:]:
+            total = _bin(total, _un(a, np.square), np.add)
+        return _un(total, np.sqrt)
+
+    def variable(self, name):
+        if name == "x" and self.dim == 1:
+            return _column(0)
+        m = re.fullmatch(r"x([1-9]\d*)", name)
+        if m is None:
+            raise ConfigError(f"unknown name {name!r} (variables are x1..x{self.dim})")
+        j = int(m.group(1))
+        if not 1 <= j <= self.dim:
+            raise ConfigError(f"variable {name!r} out of range for decision_dim {self.dim}")
+        return _column(j - 1)
+
+
+def descent_expression(text, decision_dim):
+    """parse_expression with DescentParser in place of Python's parse tree."""
+    node = DescentParser(_tokenize(text), decision_dim).parse()
+    if isinstance(node, np.float64):
+        return lambda p: np.full(p.shape[0], node)
+
+    def ev(points):
+        with np.errstate(all="ignore"):
+            return node(np.asarray(points, dtype=float))
+
+    return ev

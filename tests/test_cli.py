@@ -124,6 +124,52 @@ def test_out_path_that_cannot_be_written_exits_two_before_any_work(
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+def test_out_naming_the_config_file_exits_two_and_leaves_it(tmp_path, capsys, link):
+    # the report once truncated the file before the problem was read from it
+    cfg = tmp_path / "p.yaml"
+    cfg.write_text(CONFIG_TEXT)
+    out = cfg
+    if link:
+        out = tmp_path / "link.yaml"
+        out.symlink_to(cfg)
+    assert main(["classify", "--config", str(cfg), "--point", "0", "--out", str(out)]) == 2
+    (rec,) = parse_records(capsys.readouterr().out)
+    assert rec["reason"] == f"--out {out} names the --config file, which it would overwrite"
+    assert cfg.read_text() == CONFIG_TEXT
+
+
+def test_tykhonov_check_takes_xi_or_point_not_both(tmp_path):
+    # --point was once ignored when --xi was given, and echoed in the header
+    code, text = run_cli(tmp_path, "tykhonov-check", "--problem", "quad-pair", "--xi", "1,1",
+                         "--point", "0.5")
+    assert code == 2
+    assert parse_records(text)[0]["reason"] == "pass either --xi or --point, not both"
+    # a registry entry's designated point is no given --point
+    code, text = run_cli(tmp_path, "tykhonov-check", "--problem", "quad-pair", "--xi", "1,1",
+                         "--grid", "21")
+    assert code == 0 and "route=linear" in text.splitlines()
+
+
+# sqrt is NaN on x < 0: the screens once reported evidence, pipeline blamed sigma
+# (exit 1) and probe counted a failed member (exit 0)
+NAN_CONFIG = CONFIG_TEXT.replace("[-2], upper: [2]", "[-1], upper: [1]").replace(
+    "['x^2', 'x^2']", "['x^0.5', '-x']")
+
+
+@pytest.mark.parametrize("subcommand, where", [
+    ("analyze", "the screens' sample points"),
+    ("pipeline", "the metric's sample points"),
+    ("probe", "the screens' sample points"),
+])
+def test_non_finite_images_exit_two(tmp_path, subcommand, where):
+    cfg = tmp_path / "p.yaml"
+    cfg.write_text(NAN_CONFIG)
+    code, text = run_cli(tmp_path, subcommand, "--config", str(cfg))
+    assert code == 2
+    assert parse_records(text)[0]["reason"] == f"objective must be finite on {where}"
+
+
 @pytest.mark.parametrize("argv", [
     ["distance", "--problem", "quad-pair", "--y", "1,nan"],
     ["classify", "--problem", "quad-pair", "--point", "inf"],
@@ -378,7 +424,8 @@ BASE = {
     "distance": ["--problem", "quad-pair", "--y", "1,1"],
     "analyze": ["--problem", "x-x2"],
     "classify": ["--problem", "x-x2", "--point", "0.3"],
-    "tykhonov-check": ["--problem", "quad-pair", "--point", "0.5", "--grid", "21", "--depth", "4"],
+    # the designated point 0.5, so that --point and --xi can each be added
+    "tykhonov-check": ["--problem", "skew-cone-quad", "--grid", "21", "--depth", "4"],
     "dh-check": ["--problem", "x-minus-x", "--point", "0.5", "--grid", "21", "--depth", "4"],
     # -0.25 classifies efficient within the tolerance of 21 points, not of 101
     "perturb": ["--problem", "quad-pair", "--point", "-0.25", "--grid", "21"],
@@ -386,6 +433,9 @@ BASE = {
     "probe": ["--problem", "quad-pair", "--grid", "21"],
     "replicate": ["--problem", "x-minus-x"],
 }
+
+# a problem file has no designated point to fall back on
+CONFIG_POINT = {"tykhonov-check": ["--point", "0.5"]}
 
 # a value of every option (--config names CONFIG_TEXT in place of the --problem label);
 # each one that a subcommand reads changes its BASE report
@@ -414,7 +464,8 @@ def test_each_option_is_read_or_refused(tmp_path, subcommand):
     accepted = set()
     for option, value in VALUES.items():
         if option == "config":
-            argv = [subcommand] + BASE[subcommand][2:] + ["--config", str(cfg)]
+            argv = ([subcommand] + BASE[subcommand][2:] + ["--config", str(cfg)]
+                    + CONFIG_POINT.get(subcommand, []))
         else:
             argv = base + [f"--{option}", value]
         try:

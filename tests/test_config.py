@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellposed import ConfigError, load_problem, problem_from_mapping
-from wellposed.expr import parse_expression
+from wellposed.cli import main
+from wellposed.expr import MAX_DEPTH, parse_expression
 
-from oracles import correctly_rounded_power
+from oracles import correctly_rounded_power, descent_expression
 
 BASE = {
     "label": "toy",
@@ -207,3 +211,84 @@ def test_folding_is_bit_identical_to_unfolded_evaluation(folded, unfolded, const
     dim = pts.shape[1]
     np.testing.assert_array_equal(bits(ev(folded, pts, dim=dim)),
                                   bits(ev(unfolded, pts, dim=dim)))
+
+
+# the compiler against DescentParser, the hand-written parser it replaced:
+# expressions drawn from the grammar, and strings of tokens of the language
+# and of Python's keywords, joined with or without spaces
+LEAVES = st.sampled_from(["x", "x1", "x2", "x3", "2", "0.5", "1e-3", "3.", ".25", "0"])
+
+
+def compound(parts):
+    return st.one_of(
+        st.tuples(parts, st.sampled_from(["+", "-", "*", "/", "^"]), parts).map(" ".join),
+        parts.map(lambda e: "-" + e),
+        parts.map(lambda e: f"({e})"),
+        st.tuples(st.sampled_from(["exp", "abs"]), parts).map(lambda t: f"{t[0]}({t[1]})"),
+        st.lists(parts, min_size=1, max_size=3).map(lambda es: f"norm({', '.join(es)})"))
+
+
+TOKENS = ["x", "x1", "x2", "x4", "x0", "y", "2", "0.5", "1e-3", "3.", ".25", "1e308",
+          "+", "-", "*", "/", "^", "(", ")", ",", "exp", "abs", "norm", "sin",
+          "if", "else", "not", "and", "or", "for", "in", "is", "None", "True", "lambda", "await"]
+TOKEN_STRINGS = st.tuples(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=14),
+                          st.sampled_from([" ", ""])).map(lambda t: t[1].join(t[0]))
+
+
+def image_or_refusal(compile_expression, text, dim):
+    """The image bytes of text on fixed points, or None when it is refused."""
+    rng = np.random.default_rng(dim)
+    pts = np.vstack([rng.uniform(-2.0, 2.0, (60, dim)), np.zeros(dim), np.ones(dim), -np.ones(dim)])
+    try:
+        ev = compile_expression(text, dim)
+    except ConfigError:
+        return None
+    return ev(pts).tobytes()
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.integers(1, 3), st.one_of(st.recursive(LEAVES, compound, max_leaves=12), TOKEN_STRINGS))
+def test_compiler_accepts_and_evaluates_as_the_descent_parser(dim, text):
+    assert (image_or_refusal(parse_expression, text, dim)
+            == image_or_refusal(descent_expression, text, dim))
+
+
+# each is valid Python over the language's tokens, but not in the language
+@pytest.mark.parametrize("text", [
+    "norm(x,)", "(exp)(x)", "exp(x)(x)", "x(x)", "norm(^x)", "norm(x for x in x)", "+x",
+    "not x", "x if x else x", "x < 1", "x and x", "None", "True", "(x, x)", "await x", "norm()"])
+def test_python_only_syntax_is_refused(text):
+    with pytest.raises(ConfigError):
+        parse_expression(text, 1)
+    with pytest.raises(ConfigError):
+        descent_expression(text, 1)
+
+
+TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} operations"
+
+
+def test_depth_bound_refuses_only_deeper_closures():
+    xs = np.array([[0.5], [-1.0]])
+    np.testing.assert_array_equal(ev("+".join(["x"] * MAX_DEPTH), xs), xs[:, 0] * MAX_DEPTH)
+    with pytest.raises(ConfigError, match=TOO_DEEP):
+        parse_expression("+".join(["x"] * (MAX_DEPTH + 1)), 1)
+    # constants fold, so a long sum of them nests nothing
+    np.testing.assert_array_equal(ev("+".join(["1"] * 2000), xs), [2000.0, 2000.0])
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("(" * 10_000 + "x" + ")" * 10_000, "malformed expression: too many nested parentheses"),
+    ("-" * 10_000 + "x", "malformed expression: nested too deeply"),
+    ("+".join(["1"] * 100_000), "malformed expression: nested too deeply"),
+    ("+".join(["x"] * 2_000), TOO_DEEP),
+    ("-" * MAX_DEPTH + "x", TOO_DEEP),
+    ("norm(" + ", ".join(["x"] * MAX_DEPTH) + ")", TOO_DEEP),
+], ids=["parentheses", "minus-signs", "sum-of-constants", "sum", "minus-signs-past-the-bound",
+        "norm-arguments"])
+def test_over_deep_objectives_exit_two_with_a_reason(tmp_path, capsys, text, reason):
+    # the first, second and fourth once ended in a RecursionError traceback (exit 1)
+    cfg = tmp_path / "deep.yaml"
+    cfg.write_text(yaml.safe_dump(dict(BASE, objective_dim=1, objective=[text],
+                                       cone={"generators": [[1.0]]}), width=1 << 30))
+    assert main(["classify", "--config", str(cfg), "--point", "0"]) == 2
+    assert f"reason={reason}" in capsys.readouterr().out.splitlines()

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from wellposed import (
     Box,
+    BoundingSearch,
     CertificateFailure,
     HypothesisNotMet,
     InputError,
+    NOT_WELL_POSED,
     NoBoundingFunctional,
     ScalarProblem,
     VectorProblem,
     WELL_POSED,
     YES,
+    classify_point,
     density_pipeline,
     ekeland_point,
     function_distance,
@@ -23,6 +26,7 @@ from wellposed import (
     orthant,
     registry,
     scalarize_linear,
+    tykhonov_diagnostic,
     tikhonov_regularize,
 )
 
@@ -301,3 +305,80 @@ def test_probe_mixed_family():
     assert by_label["quad-pair"].membership_levels is not None
     assert by_label["x-minus-xex"].status in ("refused", "skipped")
     assert rep.success_fraction == pytest.approx(0.5)
+
+
+# every refusal of the pipeline and the probe, each driven by replacing the
+# step before it; the package exports the function perturb under the module's name
+PERTURB = importlib.import_module("wellposed.perturb")
+
+
+def pipeline_failure(monkeypatch, step, replacement):
+    """The CertificateFailure of x-x2's pipeline with one step replaced."""
+    monkeypatch.setattr(PERTURB, step, replacement)
+    with pytest.raises(CertificateFailure) as exc:
+        density_pipeline(registry.get("x-x2").build(), 0.5, grid_resolution=41)
+    return exc.value
+
+
+def replaced_fields(step, **fields):
+    """step, whose result has the given fields replaced."""
+    return lambda *args, **kwargs: dataclasses.replace(step(*args, **kwargs), **fields)
+
+
+def test_pipeline_refuses_when_no_j_brings_the_base_within_sigma(monkeypatch):
+    failure = pipeline_failure(monkeypatch, "function_distance", lambda p, q: 1.0)
+    assert failure.clause == "j-doubling-cap"
+
+
+@pytest.mark.parametrize("fact", ["within_radius", "descent_holds", "unique_minimizer"])
+def test_pipeline_checks_each_ekeland_fact(monkeypatch, fact):
+    failure = pipeline_failure(monkeypatch, "ekeland_point",
+                               replaced_fields(ekeland_point, **{fact: False}))
+    assert failure.clause == "ekeland" and fact in str(failure)
+
+
+@pytest.mark.parametrize("step, fields, clause", [
+    ("ekeland_point", {"x_hat": np.array([1e6])}, "center-radius"),
+    ("classify_point", {"efficient": "no"}, "efficiency"),
+    ("dh_diagnostic", {"verdict": NOT_WELL_POSED}, "dh-evidence"),
+], ids=["center-radius", "efficiency", "dh-evidence"])
+def test_pipeline_refuses_a_failed_verification(monkeypatch, step, fields, clause):
+    replacement = replaced_fields(getattr(PERTURB, step), **fields)
+    assert pipeline_failure(monkeypatch, step, replacement).clause == clause
+
+
+# d(g, h) and d(f, h) for sigma = 0.5, where d(f, g) is 0.2485
+@pytest.mark.parametrize("d_g_h, d_f_h, message", [
+    (0.0, 0.5, "d(f, h) = 0.5 is not below sigma"),
+    (0.5, 0.0, "d(g, h) = 0.5 exceeds sigma/2 + tail"),
+    (0.0, 0.45, "metric triangle budget violated"),
+], ids=["d_f_h", "d_g_h", "triangle"])
+def test_pipeline_refuses_each_metric_budget(monkeypatch, d_g_h, d_f_h, message):
+    def distances(p, q):
+        if not q.label.endswith("+cert"):
+            return function_distance(p, q)
+        return d_g_h if p.label.endswith("+base") else d_f_h
+
+    failure = pipeline_failure(monkeypatch, "function_distance", distances)
+    assert failure.clause == "metric-budget" and str(failure).startswith(message)
+
+
+def wide_levels(*args, **kwargs):
+    """tykhonov_diagnostic with no level set narrower than 2."""
+    report = tykhonov_diagnostic(*args, **kwargs)
+    return dataclasses.replace(report, diam_curve=np.full_like(report.diam_curve, 2.0))
+
+
+@pytest.mark.parametrize("step, replacement, status, detail", [
+    ("find_bounding_functional", lambda p, seed: BoundingSearch(None, ()), "refused",
+     "no bounding functional found for x-x2 (0 candidates scanned)"),
+    ("classify_point", replaced_fields(classify_point, efficient="no"), "failed",
+     "efficiency: x_hat failed the efficiency check (no)"),
+    ("tykhonov_diagnostic", wide_levels, "diameter-stuck", "no level with diameter below 1/n"),
+], ids=["refused", "failed", "diameter-stuck"])
+def test_probe_reports_each_member_status(monkeypatch, step, replacement, status, detail):
+    monkeypatch.setattr(PERTURB, step, replacement)
+    report = genericity_probe([registry.get("x-x2").build()], 0.5, n_max=2, grid_resolution=41)
+    (member,) = report.members
+    assert (member.status, member.detail) == (status, detail)
+    assert report.success_fraction == 0.0
