@@ -154,13 +154,17 @@ def is_C_bounded_below(problem: VectorProblem, xi) -> StructuralVerdict:
 
     Evidence when the expanding-box minima stabilize, counterexample when
     the last doubling still drops the minimum by more than the slope
-    threshold (or hits -inf), inconclusive otherwise.
+    threshold (or hits -inf), inconclusive otherwise.  The first box is the
+    domain, where a non-finite value raises InputError; on the larger boxes,
+    outside the domain, NaN reads as +inf.
     """
     xi = dual_vector(problem, xi)
     minima, argmins = [], []
     for factor in BOX_SCHEDULE:
         big = problem.domain.scaled(factor)
         vals = big.map_lattice(BOUND_RESOLUTION, lambda pts: problem.evaluate(pts) @ xi)
+        if factor == 1.0:  # the domain itself
+            finite_values(vals)
         vals = np.where(np.isnan(vals), np.inf, vals)
         k = int(np.argmin(vals))
         minima.append(float(vals[k]))

@@ -37,7 +37,7 @@ POINTED_CERT_MARGIN = 1e-6
 
 # Slack for dual generators: how far below zero <g, xi> may fall (g a raw or
 # unit generator) and how far a unit-generator facet normal may sit from a
-# kept dual.  The face test of dual_face_supports uses it for orthogonality.
+# kept dual.  The face test of dual_faces uses it for orthogonality.
 DUAL_VALIDITY_TOL = 1e-7
 
 
@@ -237,8 +237,11 @@ class OrderingCone:
         return unit
 
     @cached_property
-    def dual_face_supports(self):
-        """Index tuples of at most m-1 dual generators lying in a proper face of C*.
+    def dual_faces(self):
+        """(support, pinv, face, others) for each index tuple of at most m-1
+        dual generators lying in a proper face of C*: the pseudo-inverse of
+        the face's generator matrix, the face's dual generators as rows and
+        the other dual generators as columns.
 
         The faces of C* are C* ∩ g^⊥ for g in C, and a conic combination of
         primal generators is orthogonal to a dual generator only if each
@@ -246,18 +249,19 @@ class OrderingCone:
         face exactly when one primal generator is orthogonal to all of them.
         Sorted by size, then lexicographically.
         """
-        orthogonal = np.abs(self.unit_generators @ self.dual_generators.T) <= DUAL_VALIDITY_TOL
+        duals = self.dual_generators
+        orthogonal = np.abs(self.unit_generators @ duals.T) <= DUAL_VALIDITY_TOL
         supports = set()
         for row in orthogonal:
             members = np.flatnonzero(row).tolist()
             for size in range(1, min(len(members), self.ambient_dim - 1) + 1):
                 supports.update(itertools.combinations(members, size))
-        return sorted(supports, key=lambda t: (len(t), t))
-
-    @cached_property
-    def dual_face_pinvs(self):
-        """Pseudo-inverse of each dual_face_supports entry's generator matrix, in order."""
-        return [np.linalg.pinv(self.dual_generators[list(s)].T) for s in self.dual_face_supports]
+        faces = []
+        for support in sorted(supports, key=lambda t: (len(t), t)):
+            face = duals[list(support)]
+            others = [j for j in range(duals.shape[0]) if j not in support]
+            faces.append((support, np.linalg.pinv(face.T), face, duals[others].T))
+        return faces
 
     def dual_cone(self):
         """The dual cone, generated by this cone's facet normals.

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._rows import row_norm, row_sub
 from .distance import _oriented_distance_upto
-from .errors import HypothesisNotMet, InputError, NotInteriorPoint, WellposedError
+from .errors import HypothesisNotMet, InputError, WellposedError
 from .problem import (
     LATTICE_CAP,
     ScalarProblem,
@@ -58,8 +58,8 @@ STRICT_DELTA = 2.0 ** -20
 
 
 def _validate_schedule(schedule, what):
-    # a fresh array: a report's schedule must not alias the module defaults
-    s = np.array(schedule, dtype=float).reshape(-1)
+    # a fresh array, the defaults for None: a report's schedule must not alias them
+    s = np.array(DEFAULT_ALPHA_SCHEDULE if schedule is None else schedule, dtype=float).ravel()
     if s.size == 0 or not np.isfinite(s).all() or np.any(s <= 0) or np.any(np.diff(s) >= 0):
         raise InputError(f"{what} must be a finite decreasing positive schedule")
     return s
@@ -262,9 +262,29 @@ def _curve_verdict(diams, spacing):
 def _aggregate(verdicts):
     if all(v == WELL_POSED for v in verdicts):
         return WELL_POSED
-    if any(v == NOT_WELL_POSED for v in verdicts):
-        return NOT_WELL_POSED
-    return INCONCLUSIVE
+    return NOT_WELL_POSED if NOT_WELL_POSED in verdicts else INCONCLUSIVE
+
+
+def _curve(box, grid_resolution, walk):
+    """(diameters, counts) of the lattice points of each member flat-index
+    array of a walk: one column of a report."""
+    diams, counts = [], []
+    for members in walk:
+        counts.append(members.size)
+        diams.append(diameter(box.lattice_points_at(grid_resolution, members)))
+    return np.array(diams), np.array(counts)
+
+
+def _report(box, grid_resolution, schedule, columns, **fields):
+    """The report of one (diameters, counts) column per direction: each
+    column's curve verdict, aggregated, at the lattice's spacing."""
+    diams, counts = (np.column_stack(column) for column in zip(*columns))
+    spacing = box.lattice_spacing(grid_resolution)
+    verdict = _aggregate([_curve_verdict(diams[:, j], spacing) for j in range(len(columns))])
+    return WellPosednessReport(
+        schedule=schedule, diam_curve=diams, counts=counts, verdict=verdict,
+        grid_resolution=grid_resolution, lattice_spacing=spacing,
+        tol_abs=TOL_ABS, decay_ratio=DECAY_RATIO, **fields)
 
 
 def tykhonov_diagnostic(sp: ScalarProblem, level_schedule=None,
@@ -278,38 +298,26 @@ def tykhonov_diagnostic(sp: ScalarProblem, level_schedule=None,
     to shrink under rounding is tested on every point).  A non-finite
     lattice value raises InputError.
     """
-    schedule = _validate_schedule(
-        DEFAULT_ALPHA_SCHEDULE if level_schedule is None else level_schedule,
-        "level_schedule")
+    schedule = _validate_schedule(level_schedule, "level_schedule")
     values = lattice_values(sp, grid_resolution)
     inf = float(values.min())
-    argmin_flat = int(values.argmin())
-    diams = np.zeros((schedule.size, 1))
-    counts = np.zeros((schedule.size, 1), dtype=int)
     levels = _nested_members(values[:, None], (np.array([inf + off]) for off in schedule))
-    for i, sel in enumerate(levels):
-        if sel.size == 0:
-            raise WellposedError("internal: empty level set above the infimum")
-        pts = sp.domain.lattice_points_at(grid_resolution, sel)
-        diams[i, 0] = diameter(pts)
-        counts[i, 0] = sel.size
-    spacing = sp.domain.lattice_spacing(grid_resolution)
-    verdict = _curve_verdict(diams[:, 0], spacing)
-    argmin_point = sp.domain.lattice_points_at(grid_resolution, [argmin_flat])[0]
-    return WellPosednessReport(
-        kind="tykhonov", label=sp.label, point=None, directions=None,
-        schedule=schedule, diam_curve=diams, counts=counts, verdict=verdict,
-        grid_resolution=grid_resolution, lattice_spacing=spacing,
-        tol_abs=TOL_ABS, decay_ratio=DECAY_RATIO,
-        details={"lattice_infimum": inf, "argmin": argmin_point},
-    )
+    column = _curve(sp.domain, grid_resolution, levels)
+    if not column[1].all():
+        raise WellposedError("internal: empty level set above the infimum")
+    argmin_point = sp.domain.lattice_points_at(grid_resolution, [int(values.argmin())])[0]
+    return _report(sp.domain, grid_resolution, schedule, [column],
+                   kind="tykhonov", label=sp.label, point=None, directions=None,
+                   details={"lattice_infimum": inf, "argmin": argmin_point})
 
 
-def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule=None,
+def dh_diagnostic(problem: VectorProblem, x_bar, alpha_schedule=None,
                   grid_resolution=201, require_efficient=True) -> WellPosednessReport:
     """Vector level-set diameter decay along interior directions at x_bar.
 
-    Checks L(f(x_bar) + alpha*c) for each direction c and decreasing alpha;
+    Checks L(f(x_bar) + alpha*c) for decreasing alpha and each direction c
+    of cone.interior_direction_battery(); any two interior directions bound
+    each other's level sets, so the battery stands for all of them, and
     well-posed evidence needs every direction's curve to collapse.  x_bar
     must classify efficient unless require_efficient=False: one lattice pass
     reads only classify_point's domination rule (_dominated), and
@@ -323,54 +331,32 @@ def dh_diagnostic(problem: VectorProblem, x_bar, directions=None, alpha_schedule
     members.  A non-finite lattice image raises InputError on both.
     """
     x_bar, f_bar = finite_image(problem, x_bar)
-    schedule = _validate_schedule(
-        DEFAULT_ALPHA_SCHEDULE if alpha_schedule is None else alpha_schedule,
-        "alpha_schedule")
+    schedule = _validate_schedule(alpha_schedule, "alpha_schedule")
     if require_efficient and _dominated(problem, f_bar, grid_resolution):
         raise HypothesisNotMet(
             "x_bar classifies as not efficient; pass require_efficient=False to override")
-    if directions is None:
-        dirs = problem.cone.interior_direction_battery()
-    else:
-        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        if dirs.shape[1] != problem.objective_dim:
-            raise InputError("direction dimension mismatch")
-        for c in dirs:
-            if not problem.cone.contains(c, strict=True):
-                raise NotInteriorPoint("every direction must be strictly interior to the cone")
-
     box, cone = problem.domain, problem.cone
-    diams = np.zeros((schedule.size, dirs.shape[0]))
-    counts = np.zeros((schedule.size, dirs.shape[0]), dtype=int)
-    spacing = box.lattice_spacing(grid_resolution)
+    dirs = cone.interior_direction_battery()
 
     if box.lattice_size(grid_resolution) <= LATTICE_CAP:
         # <g, f(x)> per lattice point and dual generator g
         img_margins = box.map_lattice(
             grid_resolution, lambda pts: lattice_image(problem, pts) @ cone.dual_generators.T)
-        for j, c in enumerate(dirs):
-            levels = (f_bar + alpha * c for alpha in schedule)
-            for i, members in enumerate(_level_members(cone, img_margins, levels)):
-                counts[i, j] = members.size
-                if members.size:
-                    diams[i, j] = diameter(box.lattice_points_at(grid_resolution, members))
+        columns = [_curve(box, grid_resolution, _level_members(
+            cone, img_margins, (f_bar + alpha * c for alpha in schedule))) for c in dirs]
     else:
         # above the store cap, trade time for memory: one lattice pass per direction
-        for j, c in enumerate(dirs):
+        columns = []
+        for c in dirs:
             levels = level_set(problem, f_bar + schedule[:, None] * c, grid_resolution)
+            counts = np.array([len(level) for level in levels])
             # smallest level first, each freed once measured: the largest is measured alone
-            for i in reversed(range(schedule.size)):
-                counts[i, j] = levels[i].shape[0]
-                diams[i, j] = diameter(levels.pop())
+            diams = [diameter(levels.pop()) for _ in schedule]
+            columns.append((np.array(diams[::-1]), counts))
 
-    verdict = _aggregate([_curve_verdict(diams[:, j], spacing) for j in range(dirs.shape[0])])
-    return WellPosednessReport(
-        kind="dh", label=problem.label, point=x_bar, directions=dirs,
-        schedule=schedule, diam_curve=diams, counts=counts, verdict=verdict,
-        grid_resolution=grid_resolution, lattice_spacing=spacing,
-        tol_abs=TOL_ABS, decay_ratio=DECAY_RATIO,
-        details={"f_bar": f_bar},
-    )
+    return _report(box, grid_resolution, schedule, columns,
+                   kind="dh", label=problem.label, point=x_bar, directions=dirs,
+                   details={"f_bar": f_bar})
 
 
 def dh_via_scalarization(problem: VectorProblem, x_bar, level_schedule=None,
@@ -379,8 +365,7 @@ def dh_via_scalarization(problem: VectorProblem, x_bar, level_schedule=None,
     scalarization at x_bar and report it as a dh verdict."""
     x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
     sp = scalarize_oriented(problem, x_bar)
-    base = tykhonov_diagnostic(sp, level_schedule=level_schedule,
-                               grid_resolution=grid_resolution)
+    base = tykhonov_diagnostic(sp, level_schedule=level_schedule, grid_resolution=grid_resolution)
     return replace(base, kind="dh-scalarized", label=problem.label, point=x_bar,
                    details={**base.details, "route": "oriented-distance-scalarization"})
 

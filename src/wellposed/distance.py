@@ -94,12 +94,10 @@ def _dual_projections(cone: OrderingCone, points):
     Rows in C* (<g/||g||, y> >= -tol for every primal generator g) project
     to themselves.  Any other projection lies on the boundary of C*: a
     basic nonnegative combination of at most m-1 dual
-    generators of one proper face.  Each such support
-    (cone.dual_face_supports) is tried in turn with its pseudo-inverse
-    (cone.dual_face_pinvs) and a KKT test.  A row no support certifies
-    raises NumericalFailure.
+    generators of one proper face.  Each such support (cone.dual_faces)
+    is tried in turn with its pseudo-inverse and a KKT test.  A row no
+    support certifies raises NumericalFailure.
     """
-    duals = cone.dual_generators  # (f, m)
     low = row_min(_many_row_product(points, cone.unit_generators.T))
     in_dual = low >= -cone.tol
     # only the rows outside C* at the base tolerance need their norms
@@ -109,7 +107,7 @@ def _dual_projections(cone: OrderingCone, points):
     yield np.flatnonzero(in_dual), points[in_dual]
     rest, tol = rest[~in_dual[rest]], tol[~in_dual[rest]]
 
-    for support, pinv in zip(cone.dual_face_supports, cone.dual_face_pinvs):
+    for _, pinv, face, others in cone.dual_faces:
         if not rest.size:
             return
         rows = points[rest]
@@ -117,10 +115,9 @@ def _dual_projections(cone: OrderingCone, points):
         ok = row_all_le(-lam, tol[:, None])  # lam >= -tol: negation is exact
         if not ok.any():
             continue
-        proj = _many_row_product(lam, duals[list(support)])  # (k, m)
+        proj = _many_row_product(lam, face)  # (k, m)
         resid = rows - proj
-        others = [j for j in range(duals.shape[0]) if j not in support]
-        ok &= row_all_le(_many_row_product(resid, duals[others].T), tol[:, None])
+        ok &= row_all_le(_many_row_product(resid, others), tol[:, None])
         # KKT needs <p, y - p> = 0; the normal equations give it, but
         # rank-deficient subsets can slip through, so re-check cheaply
         ok &= np.abs(np.einsum("ij,ij->i", proj, resid)) <= 1e-7 * (1.0 + np.einsum("ij,ij->i", proj, proj))

@@ -104,9 +104,13 @@ class Box:
         return cols
 
     def scaled(self, factor):
-        """Box scaled about its center; factor >= used by expanding-domain scans."""
+        """Box scaled about its center; factor >= used by expanding-domain scans.
+        Factor 1 gives the box itself: center -+ half-width can miss a bound
+        by an ulp."""
         if factor <= 0:
             raise InputError("scale factor must be positive")
+        if factor == 1:
+            return self
         c, h = self.center, 0.5 * (self.upper - self.lower)
         return Box(c - factor * h, c + factor * h)
 
@@ -171,9 +175,9 @@ class Box:
             raise InputError("point lies outside the box")
         h = (self.upper - self.lower) / (_checked_resolution(resolution) - 1)
         steps = np.clip(np.rint((x - self.lower) / h).astype(np.int64), 0, resolution - 1)
-        point = self.lower + steps * h
         flat = int(np.ravel_multi_index(tuple(steps), (resolution,) * self.dim))
-        return point, flat
+        # the lattice's own point, from the linspace axes: lower + steps * h can miss it
+        return self.lattice_points_at(resolution, [flat])[0], flat
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +311,9 @@ def diameter(point_set):
     differ from pdist's maximum on the original rows by a few ulps (up to
     6.0e-16 relative where measured).  The basis is computed from every row
     and only the kept rows are projected, each to the bits the full
-    projection gives it.  No scipy is loaded.
+    projection gives it; at rank 1 the projected value is monotone in the
+    last coordinate along each run of rows the drop acts on, so the kept
+    ends hold both extremes.  No scipy is loaded.
     """
     pts = np.atleast_2d(np.asarray(point_set, dtype=float))
     if not np.isfinite(pts).all():
@@ -322,8 +328,6 @@ def diameter(point_set):
     rank = int(np.sum(s > max(s[0], 1.0) * 1e-12))
     if rank == 0:
         return 0.0
-    if rank == 1:
-        return _pairwise_max(centered @ vt[:1].T)
     return _pairwise_max(centered[_off_line_ends(pts)] @ vt[:rank].T)
 
 

@@ -187,6 +187,16 @@ def span_coords(points):
     return centered @ vt[:rank].T
 
 
+def rank_one_extent(points):
+    """problem.diameter's former rank-1 route above its direct-route size:
+    the extent (max - min, which is pdist's maximum in one coordinate) of
+    the projections of every row onto the first direction of the SVD basis."""
+    centered = points - points.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    line = centered @ vt[:1].T
+    return float(line.max() - line.min())
+
+
 def brute_max_distance(points):
     """pdist(points).max() in blocks: cdist and pdist share one distance kernel."""
     return max(float(cdist(points[s:s + 512], points).max()) for s in range(0, len(points), 512))

@@ -16,6 +16,8 @@ from wellposed import (
     sion_gap,
 )
 
+from wellposed.config import problem_from_mapping
+
 from oracles import game_value
 
 
@@ -181,3 +183,42 @@ def test_two_route_convexity_agreement():
         favg = (p.evaluate(xs) + p.evaluate(zs)) / 2
         scal_ok = ((favg - fm) @ duals.T >= -1e-7).all()
         assert (member.verdict == EVIDENCE) == bool(scal_ok)
+
+
+def sqrt_pair(lower, upper=1.0, root="x"):
+    # (sqrt(root), -x): NaN wherever root < 0
+    return problem_from_mapping({
+        "label": "sqrt-pair", "decision_dim": 1, "objective_dim": 2,
+        "objective": [f"({root})^0.5", "-x"], "domain": {"lower": [lower], "upper": [upper]},
+        "cone": {"generators": [[1.0, 0.0], [0.0, 1.0]]}})
+
+
+def test_bounded_below_refuses_nan_on_the_domain():
+    # the scan used to read NaN as +inf on the domain too, and found
+    # xi = (1.414, 0) bounded below from the finite half alone
+    p = sqrt_pair(-1.0)
+    with pytest.raises(InputError, match="objective must be finite on the lattice"):
+        is_C_bounded_below(p, [1.0, 0.0])
+    with pytest.raises(InputError, match="objective must be finite on the lattice"):
+        find_bounding_functional(p)
+
+
+def test_bounded_below_reads_nan_outside_the_domain_as_infinite():
+    # finite on [0, 1], NaN on the left half of every enlarged box
+    p = sqrt_pair(0.0)
+    v = is_C_bounded_below(p, [1.0, 0.0])
+    assert v.verdict == EVIDENCE and v.detail["minima"] == [0.0, 0.0, 0.0, 0.0]
+    assert is_C_bounded_below(p, [0.0, 1.0]).verdict == COUNTEREXAMPLE
+    search = find_bounding_functional(p)
+    np.testing.assert_array_equal(search.xi, [np.sqrt(2.0), 0.0])
+    assert [v for _, v in search.scanned] == [COUNTEREXAMPLE, EVIDENCE]
+
+
+def test_bounded_below_scans_the_domain_bounds_themselves():
+    # center -+ half-width puts the lower bound at 0.19999999999999996, where
+    # sqrt(x - 0.2) is NaN: that box was scanned as the domain, and its NaN
+    # point dropped, so the minimum read 0.1097 instead of sqrt(0) = 0
+    p = sqrt_pair(0.2, 0.97, root="x - 0.2")
+    assert p.domain.scaled(1.0) is p.domain
+    assert (p.domain.center - 0.5 * (p.domain.upper - p.domain.lower))[0] < 0.2
+    assert is_C_bounded_below(p, [1.0, 0.0]).detail["minima"][0] == 0.0

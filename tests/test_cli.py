@@ -152,14 +152,15 @@ def test_tykhonov_check_takes_xi_or_point_not_both(tmp_path):
 
 
 # sqrt is NaN on x < 0: the screens once reported evidence, pipeline blamed sigma
-# (exit 1) and probe counted a failed member (exit 0)
+# (exit 1) and probe counted a failed member (exit 0); pipeline's first step,
+# the bounding-functional scan, refuses the NaN on the domain's lattice
 NAN_CONFIG = CONFIG_TEXT.replace("[-2], upper: [2]", "[-1], upper: [1]").replace(
     "['x^2', 'x^2']", "['x^0.5', '-x']")
 
 
 @pytest.mark.parametrize("subcommand, where", [
     ("analyze", "the screens' sample points"),
-    ("pipeline", "the metric's sample points"),
+    ("pipeline", "the lattice"),
     ("probe", "the screens' sample points"),
 ])
 def test_non_finite_images_exit_two(tmp_path, subcommand, where):

@@ -328,10 +328,13 @@ def test_tykhonov_embeds_argmin_details():
 
 def test_dh_quad_pair_square_root_decay():
     p = quad_pair()
-    rep = dh_diagnostic(p, [0.0], directions=[[1.0, 1.0]], grid_resolution=201)
+    rep = dh_diagnostic(p, [0.0], grid_resolution=201)
     assert rep.verdict == WELL_POSED
+    # the battery's first direction is k0 = (1, 1)/sqrt(2): L = {x^2 <= alpha/sqrt(2)}
+    np.testing.assert_array_equal(rep.directions[0], p.cone.k0)
+    np.testing.assert_allclose(p.cone.k0, np.full(2, 2 ** -0.5), rtol=1e-15)
     for k, alpha in enumerate(rep.schedule):
-        want = 2.0 * np.sqrt(alpha)
+        want = 2.0 * np.sqrt(alpha / np.sqrt(2.0))
         assert rep.diam_curve[k, 0] <= want + 1e-9
         assert rep.diam_curve[k, 0] >= want - 2 * rep.lattice_spacing
 
@@ -344,12 +347,14 @@ def test_dh_zero_function_never_collapses():
 
 def test_dh_two_linear_inequalities():
     p = prob(lambda x: np.stack([x[:, 0], -x[:, 0]], axis=1), 2, [-1.0], [1.0])
-    rep = dh_diagnostic(p, [0.0], directions=[[1.0, 1.0]], grid_resolution=201)
+    rep = dh_diagnostic(p, [0.0], grid_resolution=201)
     assert rep.verdict == WELL_POSED
+    np.testing.assert_array_equal(rep.directions[0], p.cone.k0)
+    np.testing.assert_allclose(p.cone.k0, np.full(2, 2 ** -0.5), rtol=1e-15)
     for k, alpha in enumerate(rep.schedule):
-        # level set is [-alpha, alpha] exactly
+        # along k0 the level set is [-alpha/sqrt(2), alpha/sqrt(2)] exactly
         assert rep.diam_curve[k, 0] == pytest.approx(
-            2 * alpha, abs=2 * rep.lattice_spacing + 1e-9)
+            np.sqrt(2.0) * alpha, abs=2 * rep.lattice_spacing + 1e-9)
 
 
 def test_dh_requires_efficiency_unless_overridden():

@@ -163,8 +163,7 @@ def _structured_points(cone, rng):
              -rng.uniform(0.1, 2.0, size=(5, len(gens))) @ gens,
              rng.uniform(0.1, 2.0, size=(5, len(duals))) @ duals]
     outside, norms = [np.empty((0, cone.ambient_dim))], [np.empty(0)]
-    for support in cone.dual_face_supports:
-        face = duals[list(support)]
+    for support, _, face, _ in cone.dual_faces:
         p = rng.uniform(0.1, 2.0, size=(2, len(support))) @ face
         plain.append(p)
         orthogonal = np.abs(gens @ face.T).max(axis=1) <= 1e-9 * np.linalg.norm(gens, axis=1)

@@ -102,6 +102,17 @@ def test_ekeland_fixed_point_is_immediate():
     np.testing.assert_allclose(res.x_hat, [0.5], atol=1e-12)
 
 
+def test_ekeland_start_at_the_upper_corner_is_its_lattice_point():
+    # lower + steps * h misses the lattice point at `upper` on this box, so
+    # the start snapped to a point 2.2e-16 away from every lattice point
+    box = Box(np.array([-2.2945343420102615]), np.array([1.636924461032031]))
+    sp = ScalarProblem("-x", 1, lambda x: -x[:, 0], box)
+    res = ekeland_point(sp, box.upper, 0.1, 1.0, grid_resolution=132)
+    assert res.iterations == 0
+    assert res.distance_to_start == 0.0
+    assert res.x_start.tobytes() == res.x_hat.tobytes() == box.upper.tobytes()
+
+
 def test_ekeland_linear_lands_on_corner_within_radius():
     # eps below the slope, so the penalized argmin is the box corner
     sp = scalar_problem(lambda t: 0.3 * t, [-2.0], [2.0])

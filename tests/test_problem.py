@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
@@ -34,7 +34,13 @@ from wellposed.problem import (
     _pairwise_max,
 )
 
-from oracles import brute_max_distance, exact_level_members, metric_series, span_coords
+from oracles import (
+    brute_max_distance,
+    exact_level_members,
+    metric_series,
+    rank_one_extent,
+    span_coords,
+)
 
 
 def vec_problem(fn, m, lower, upper, label="p", cone=None):
@@ -97,6 +103,25 @@ def test_nearest_lattice_point_snaps():
     np.testing.assert_allclose(box.lattice_points_at(21, [flat])[0], x)
     with pytest.raises(InputError, match="grid resolution must be >= 2"):
         box.nearest_lattice_point(1, [0.13])  # a step of 2/0 would snap to NaN
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 3), st.integers(2, 400), st.sampled_from(("upper", "lower", "inside")),
+       st.data())
+def test_nearest_lattice_point_is_the_lattice_point_of_its_index(d, res, where, data):
+    # the snapped point must have the bits of the lattice's own point (the
+    # linspace axes), not of lower + steps * h, which can miss it by an ulp
+    coord = st.floats(-1e3, 1e3, allow_nan=False)
+    lower = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)))
+    width = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    box = Box(lower, lower + width)
+    if where == "inside":
+        t = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+        x = box.lower + t * (box.upper - box.lower)
+    else:
+        x = getattr(box, where)
+    point, flat = box.nearest_lattice_point(res, x)
+    assert point.tobytes() == box.lattice_points_at(res, [flat])[0].tobytes()
 
 
 def test_box_membership_allows_a_fixed_slack():
@@ -166,6 +191,28 @@ def test_projecting_only_the_kept_ends_gives_the_full_projection_bits():
         assert full.shape[1] == rank >= 2
         assert (centered[keep] @ vt[:rank].T).tobytes() == full[keep].tobytes()
         assert diameter(pts) == _pairwise_max(full[keep])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(_DIRECT_DIAMETER_MAX + 1, 9000), st.booleans(),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_rank_one_sets_measure_as_the_projection_of_every_row(d, n, along_last, rounded,
+                                                              ordered, seed):
+    # rank-1 sets take the general route: only the kept line ends are
+    # projected, and the extent must keep the bits of projecting every row
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+    step = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+    if along_last:  # every row shares its leading coordinates: one long run to drop
+        step[:-1] = 0.0
+    t = rng.uniform(-1.0, 1.0, n)
+    if rounded:  # repeated, evenly spaced parameters, as on a lattice line
+        t = np.round(t, 2)
+    if ordered:
+        t.sort()
+    pts = start + t[:, None] * step
+    assume(span_coords(pts).shape[1] == 1)
+    assert diameter(pts) == rank_one_extent(pts)
 
 
 def test_diameter_of_many_identical_rows_is_zero():
@@ -470,6 +517,14 @@ def test_function_distance_constant_difference_frozen():
                       domain=p.domain, cone=p.cone)
     # ||v||=0.5 -> 0.5/1.5 * (1 - 2^-20)
     assert function_distance(p, q) == pytest.approx(0.33333301544189453, abs=1e-9)
+
+
+def test_function_distance_refuses_nan_at_its_sample_points():
+    # (sqrt(x), -x) is NaN on the left half of the shared box
+    p = quad_pair()
+    q = vec_problem(lambda x: np.stack([np.sqrt(x[:, 0]), -x[:, 0]], axis=1), 2, [-2.0], [2.0])
+    with pytest.raises(InputError, match="objective must be finite on the metric's sample points"):
+        function_distance(p, q)
 
 
 def test_function_distance_norm_cone_series_frozen():
