@@ -77,7 +77,7 @@ def tikhonov_regularize(problem: VectorProblem, x_bar, n, grid_resolution=201):
     efficiency and DH verdicts at x_bar for the perturbed problem and the
     metric distance to the original.
     """
-    if int(n) != n or n < 1:
+    if not np.isfinite(n) or int(n) != n or n < 1:
         raise InputError("n must be a positive integer")
     n = int(n)
     x_bar = np.asarray(x_bar, dtype=float).reshape(-1)

@@ -450,6 +450,8 @@ def dual_vector(problem: VectorProblem, xi):
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape != (problem.objective_dim,):
         raise InputError("xi dimension mismatch")
+    if not np.all(np.isfinite(xi)):
+        raise InputError("xi must be finite")
     if np.linalg.norm(xi) <= problem.cone.tol:
         raise InputError("xi must be nonzero")
     if np.any(problem.cone.generators @ xi < -problem.cone.tol):

@@ -225,6 +225,54 @@ def test_config_file_problem(tmp_path):
     assert "label=cfg-quad" in text
 
 
+ORTHANT5_CONFIG = (
+    "label: orthant5\n"
+    "decision_dim: 1\n"
+    "objective_dim: 5\n"
+    "domain: {lower: [-1], upper: [1]}\n"
+    "cone: {generators: [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],"
+    " [0, 0, 0, 0, 1]]DUALS}\n"
+    "objective: ['x^2', 'x^2', 'x^2', 'x^2', '-x']\n")
+
+
+@pytest.mark.parametrize("duals", [
+    ", dual_generators: [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],"
+    " [0, 0, 0, 0, 1]]",
+    "",
+], ids=["all-five-duals", "no-duals"])
+def test_five_dimensional_orthant_keeps_its_verdicts(tmp_path, duals):
+    # f5 = -x forces x >= 0.5 on any point no worse than x = 0.5
+    cfg = tmp_path / "p.yaml"
+    cfg.write_text(ORTHANT5_CONFIG.replace("DUALS", duals))
+    code, text = run_cli(tmp_path, "classify", "--config", str(cfg), "--point", "0.5")
+    assert code == 0
+    body = parse_records(text)[1]
+    assert (body["efficient"], body["weakly_efficient"], body["strictly_efficient"]) == (
+        "yes", "yes", "yes")
+
+
+def test_five_dimensional_dual_list_missing_a_facet_exits_two(tmp_path):
+    # four of the five unit duals describe a larger cone; it was trusted, and
+    # classify said no/no/no with witness x = -0.5 at exit 0
+    cfg = tmp_path / "p.yaml"
+    cfg.write_text(ORTHANT5_CONFIG.replace(
+        "DUALS", ", dual_generators: [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],"
+                 " [0, 0, 0, 1, 0]]"))
+    code, text = run_cli(tmp_path, "classify", "--config", str(cfg), "--point", "0.5",
+                         "--grid", "201")
+    assert code == 2
+    assert parse_records(text)[0]["reason"] == "dual generators miss a facet normal of the cone"
+
+
+def test_non_finite_k0_exits_two(tmp_path):
+    # dh-check once measured its direction-0 column on empty level sets
+    cfg = tmp_path / "p.yaml"
+    cfg.write_text(CONFIG_TEXT.replace("[0, 1]]}", "[0, 1]], k0: [.nan, 1]}"))
+    code, text = run_cli(tmp_path, "dh-check", "--config", str(cfg), "--point", "0")
+    assert code == 2
+    assert parse_records(text)[0]["reason"] == "k0 must be finite"
+
+
 def test_readme_problem_file(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Problem files", 1)[1]

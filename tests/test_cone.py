@@ -115,10 +115,12 @@ def test_non_pointed_cone_is_refused_without_an_lp(monkeypatch):
 @pytest.mark.parametrize("m, duals", [
     (2, [[1.0, 1.0]]),
     (3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]),
+    (5, np.eye(5)[:4]),
 ])
 def test_incomplete_supplied_duals_are_refused(m, duals):
     # each list lies in the orthant's dual cone but misses a facet normal;
-    # the first, once accepted, let the cone contain [1, -0.5]
+    # the first, once accepted, let the cone contain [1, -0.5], and the
+    # last, once trusted above dimension 4, let it contain -e5
     with pytest.raises(ConeValidationError, match="miss a facet normal"):
         OrderingCone(m, np.eye(m), dual_generators=duals)
 
@@ -203,7 +205,7 @@ def _random_integer_generators(m, data):
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.integers(2, 4), st.data())
+@given(st.integers(2, 6), st.data())
 def test_constructor_agrees_with_pointedness_lp(m, data):
     gens = _random_integer_generators(m, data)
     verdict = _pointedness_verdict(m, gens)
@@ -212,7 +214,7 @@ def test_constructor_agrees_with_pointedness_lp(m, data):
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.integers(2, 4), st.data())
+@given(st.integers(2, 6), st.data())
 def test_scaled_generators_keep_pointedness_and_facet_normals(m, data):
     # the cone does not change when a generator is rescaled, so neither may
     # the verdict: lengths from tiny to huge, mixed within one set
@@ -231,6 +233,85 @@ def test_scaled_generators_keep_pointedness_and_facet_normals(m, data):
     gaps = np.linalg.norm(facets[:, None, :] - verdict.dual_generators[None, :, :], axis=2)
     assert gaps.min(axis=1).max() <= cone_module.DUAL_VALIDITY_TOL
     assert (verdict.unit_generators @ verdict.dual_generators.T).min() >= -cone_module.DUAL_VALIDITY_TOL
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.integers(5, 6), st.data())
+def test_dual_lists_missing_one_facet_normal_are_refused(m, data):
+    # positive first coordinates make the cone pointed; every enumerated
+    # dual generator is a facet normal, so no list without one of them
+    # describes the cone
+    k = data.draw(st.integers(m, m + 3))
+    entries = data.draw(st.lists(st.integers(-3, 3), min_size=k * m, max_size=k * m))
+    gens = np.array(entries, dtype=float).reshape(k, m)
+    gens[:, 0] = np.abs(gens[:, 0]) + 1.0
+    verdict = _pointedness_verdict(m, gens)
+    assume(not isinstance(verdict, str))  # a cone that is not solid has no k0
+    for i in range(verdict.dual_generators.shape[0]):
+        with pytest.raises(ConeValidationError, match="miss a facet normal"):
+            OrderingCone(m, gens, dual_generators=np.delete(verdict.dual_generators, i, axis=0))
+
+
+def _no_subset_svd(monkeypatch):
+    """Make the subset enumeration fail loudly if it gets past its budget."""
+    svd = np.linalg.svd
+
+    def only_2d(a, *args, **kwargs):
+        if np.ndim(a) > 2:
+            raise AssertionError("the subset stack was built")
+        return svd(a, *args, **kwargs)
+
+    def no_combinations(*args):
+        raise AssertionError("the subsets were enumerated")
+
+    monkeypatch.setattr(np.linalg, "svd", only_2d)
+    monkeypatch.setattr(cone_module.itertools, "combinations", no_combinations)
+
+
+def test_facet_enumeration_over_the_subset_budget_is_refused_before_any_subset(monkeypatch):
+    # the orthant of R^5 takes C(5, 4) = 5 subsets, at the budget
+    monkeypatch.setattr(cone_module, "CONE_SUBSET_BUDGET", 5)
+    orthant(5)
+    monkeypatch.setattr(cone_module, "CONE_SUBSET_BUDGET", 4)
+    _no_subset_svd(monkeypatch)
+    with pytest.raises(InputError, match="needs 5 generator subsets; the budget is 4"):
+        orthant(5)
+    # C(30, 9) = 14,307,150 subsets: supplied duals no longer skip the check
+    monkeypatch.undo()
+    _no_subset_svd(monkeypatch)
+    gens = np.abs(np.random.default_rng(0).normal(size=(30, 10))) + 0.1
+    for duals in (np.eye(10), None):
+        with pytest.raises(InputError, match="needs 14307150 generator subsets; the budget is"):
+            OrderingCone(10, gens, dual_generators=duals)
+
+
+def test_dual_faces_over_the_subset_budget_are_refused_before_any_pinv(monkeypatch):
+    # each of the 5 generators of the orthant of R^5 is orthogonal to 4 of
+    # its duals, so 5 * (2^4 - 1) = 75 supports are counted (30 distinct);
+    # the orthant of R^24 counts 24 * (2^23 - 1), each a pseudo-inverse
+    monkeypatch.setattr(cone_module, "CONE_SUBSET_BUDGET", 75)
+    assert len(orthant(5).dual_faces) == 30
+    monkeypatch.undo()
+    small, big = orthant(5), orthant(24)
+
+    def no_pinv(*args, **kwargs):
+        raise AssertionError("a pseudo-inverse was computed")
+
+    monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+    _no_subset_svd(monkeypatch)
+    with pytest.raises(InputError, match="needs 201326568 face supports; the budget is 100000"):
+        big.dual_faces
+    monkeypatch.setattr(cone_module, "CONE_SUBSET_BUDGET", 74)
+    with pytest.raises(InputError, match="needs 75 face supports; the budget is 74"):
+        small.dual_faces
+
+
+@pytest.mark.parametrize("k0", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]])
+def test_non_finite_k0_is_refused(k0):
+    # NaN compares false with the interiority test, so it once passed it and
+    # gave an all-NaN base polytope
+    with pytest.raises(InputError, match="^k0 must be finite"):
+        OrderingCone(2, np.eye(2), k0=k0)
 
 
 def test_rejects_exterior_k0():

@@ -52,6 +52,13 @@ def test_regularizing_flat_function_restores_well_posedness():
     assert q.label.endswith("tik1")
 
 
+@pytest.mark.parametrize("n", [float("inf"), float("nan"), 0, 1.5])
+def test_regularization_refuses_n_outside_the_positive_integers(n):
+    # inf once raised OverflowError and NaN ValueError from int(n)
+    with pytest.raises(InputError, match="^n must be a positive integer$"):
+        tikhonov_regularize(registry.get("zero-function").build(), [0.0], n)
+
+
 def test_regularization_keeps_center_efficient_for_all_n():
     p = registry.get("x-minus-x").build()
     last = 1.0

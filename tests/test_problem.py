@@ -354,6 +354,13 @@ def test_perturb_keeps_its_own_center_and_direction():
     np.testing.assert_array_equal(q.evaluate_one([1.5]), p.evaluate_one([1.5]) + [1.0, 2.0])
 
 
+@pytest.mark.parametrize("xi", [[np.nan, 1.0], [np.inf, 1.0]])
+def test_non_finite_xi_is_refused_by_name(xi):
+    # the scans once blamed the objective for a NaN xi
+    with pytest.raises(InputError, match="^xi must be finite"):
+        scalarize_linear(quad_pair(), xi)
+
+
 def test_scalarize_linear_selects_coordinate():
     p = vec_problem(lambda x: np.stack([x[:, 0], x[:, 0] ** 2], axis=1), 2, [-2.0], [2.0])
     sp = scalarize_linear(p, [0.0, 1.0])
