@@ -54,7 +54,6 @@ from .analysis import (
 from .diagnostics import (
     EfficiencyVerdict,
     WellPosednessReport,
-    LinearRouteResult,
     YES,
     NO,
     INCONCLUSIVE,
@@ -65,7 +64,6 @@ from .diagnostics import (
     tykhonov_diagnostic,
     dh_diagnostic,
     dh_via_scalarization,
-    dh_sufficient_linear,
     geometric_schedule,
 )
 from .perturb import (
@@ -127,7 +125,6 @@ __all__ = [
     "sion_gap",
     "EfficiencyVerdict",
     "WellPosednessReport",
-    "LinearRouteResult",
     "YES",
     "NO",
     "INCONCLUSIVE",
@@ -138,7 +135,6 @@ __all__ = [
     "tykhonov_diagnostic",
     "dh_diagnostic",
     "dh_via_scalarization",
-    "dh_sufficient_linear",
     "geometric_schedule",
     "TikhonovCertificate",
     "EkelandResult",

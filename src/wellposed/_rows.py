@@ -70,12 +70,11 @@ def row_norm(a):
     return np.sqrt(out, out=out)
 
 
-def row_sub(a, b):
-    """a - b for an (n, k) array and a (k,) row, in either order."""
-    wide = a if a.ndim == 2 else b
-    if not 0 < wide.shape[1] < 8:
-        return a - b
-    out = np.empty(wide.shape, dtype=np.result_type(a, b))
-    for j in range(wide.shape[1]):
-        np.subtract(a[..., j], b[..., j], out=out[:, j])
+def row_sub(a, row):
+    """a - row for an (n, k) array and a (k,) row."""
+    if not 0 < a.shape[1] < 8:
+        return a - row
+    out = np.empty(a.shape, dtype=np.result_type(a, row))
+    for j in range(a.shape[1]):
+        np.subtract(a[:, j], row[j], out=out[:, j])
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rows import row_max, row_min
-from .cone import simplex_lattice
+from .cone import _dedupe_unit_rows, simplex_lattice
 from .diagnostics import INCONCLUSIVE
 from .errors import InputError, NumericalFailure
 from .problem import Box, VectorProblem, dual_vector, finite_values
@@ -207,11 +207,8 @@ def find_bounding_functional(problem: VectorProblem, seed=0) -> BoundingSearch:
         w = rng.random(verts.shape[0])
         candidates.append((w / w.sum()) @ verts)
 
-    seen, scanned = [], []
-    for xi in candidates:
-        if any(np.linalg.norm(xi - s) <= 1e-12 for s in seen):
-            continue
-        seen.append(xi)
+    scanned = []
+    for xi in _dedupe_unit_rows(candidates, 1e-12):
         verdict = is_C_bounded_below(problem, xi)
         scanned.append((xi, verdict.verdict))
         if verdict.holds:
@@ -235,16 +232,13 @@ def _lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
 
 @dataclass(frozen=True)
 class SionGap:
-    """sup-inf / inf-sup pair with LP cross-checks; unpacks as the pair."""
+    """sup-inf / inf-sup pair with LP cross-checks."""
 
     sup_inf: float
     inf_sup: float
     sup_inf_exact: float
     inf_sup_exact: float
     lattice_error: float
-
-    def __iter__(self):
-        return iter((self.sup_inf, self.inf_sup))
 
 
 def sion_gap(matrix, w_domain, z_subdivisions=64, w_resolution=33) -> SionGap:

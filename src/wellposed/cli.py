@@ -40,10 +40,8 @@ from .diagnostics import (
 )
 from .errors import (
     CertificateFailure,
-    HypothesisNotMet,
     InputError,
     NoBoundingFunctional,
-    NumericalFailure,
     WellposedError,
 )
 from .perturb import density_pipeline, genericity_probe, tikhonov_regularize
@@ -537,8 +535,7 @@ def _report(cfg: RunConfig):
         records, curve_report, code = runner(cfg)
     except (InputError, FileNotFoundError) as exc:
         return EXIT_USAGE, _usage_error(exc)
-    except (HypothesisNotMet, NoBoundingFunctional, CertificateFailure,
-            NumericalFailure, WellposedError) as exc:
+    except WellposedError as exc:
         reason = {"status": "failed", "exit_code": EXIT_FAILED,
                   "error_type": type(exc).__name__, "reason": str(exc)}
         if isinstance(exc, CertificateFailure):

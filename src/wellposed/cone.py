@@ -20,13 +20,15 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._rows import row_min
+from ._rows import row_max, row_min
 from .errors import ConeValidationError, InputError, NotInteriorPoint
 
 TOL_MEMBERSHIP = 1e-9
 
 # Most generator subsets a facet enumeration, or face supports dual_faces, may
-# take: on one Xeon core 98,280 subsets in R^6 took 1.8 s (90 MB peak), 11,440 in R^10 0.5 s.
+# take: on one Xeon core 98,280 subsets in R^6 took 0.7 s (90 MB above the
+# interpreter), 11,440 in R^10 0.2 s.  It also bounds sample_dual_sphere's
+# rows and the simplex lattice it builds, both counted before any is built.
 CONE_SUBSET_BUDGET = 100_000
 
 # Margin every unit generator must clear along the normalized generator sum
@@ -53,12 +55,20 @@ def _as_matrix(vectors, ambient_dim, what):
     return arr
 
 
+def _row_norms(rows):
+    """(n, 1) array of np.linalg.norm(row) for each row, bit for bit: the
+    per-row dot it takes (np.linalg.norm(rows, axis=1) sums pairwise)."""
+    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
+
+
 def _dedupe_unit_rows(rows, tol):
-    kept = []
-    for r in rows:
-        if not any(np.linalg.norm(r - k) <= tol for k in kept):
-            kept.append(r)
-    return np.array(kept)
+    """The rows, in order, less each row within tol of a kept earlier row."""
+    rows = np.asarray(rows)
+    kept = np.ones(rows.shape[0], dtype=bool)
+    for i in range(rows.shape[0]):
+        if kept[i]:
+            kept[i + 1:] &= ~(_row_norms(rows[i + 1:] - rows[i])[:, 0] <= tol)
+    return rows[kept]
 
 
 def _fresh_rows(units, taken):
@@ -91,15 +101,16 @@ def _enumerate_facet_normals(generators, tol):
     stack = generators[np.array(subsets, dtype=np.intp).reshape(len(subsets), m - 1)]
     _, s, vt = np.linalg.svd(stack, full_matrices=True)
     rank = np.sum(s > np.maximum(s[:, :1], 1.0) * 1e-12, axis=1)
-    candidates = []
-    for normal in vt[rank == m - 1, -1]:
-        normal = normal / np.linalg.norm(normal)
-        prods = generators @ normal
-        if np.all(prods >= -tol):
-            candidates.append(normal)
-        if np.all(-prods >= -tol):
-            candidates.append(-normal)
-    return _dedupe_unit_rows(candidates, 1e-9).reshape(-1, m)
+    normals = vt[rank == m - 1, -1]
+    del stack, s, vt  # the largest arrays: freed before the products are built
+    normals = normals / _row_norms(normals)
+    # one matrix-vector product per normal, as generators @ normal gives it
+    # (one matrix product would round differently near the sign tests)
+    prods = (generators @ normals[:, :, None])[..., 0]
+    # each valid normal, then its negation
+    signed = np.stack([normals, -normals], axis=1)
+    valid = np.stack([row_min(prods) >= -tol, row_max(prods) <= tol], axis=1)
+    return _dedupe_unit_rows(signed[valid], 1e-9)
 
 
 def _dual_cone_generators(units, tol):
@@ -281,19 +292,11 @@ class OrderingCone:
             dual_generators=self.unit_generators,
         )
 
-    def base_polytope(self, k0=None):
-        """Vertices of {xi in C* : <xi, k0> = 1}, the compact dual base.
-
-        Vertices are the dual generators rescaled onto the slice; raises
-        NotInteriorPoint when k0 fails strict interiority.
-        """
-        k0 = self.k0 if k0 is None else np.asarray(k0, dtype=float).reshape(-1)
-        if k0.shape != (self.ambient_dim,):
-            raise InputError(f"k0 must have length {self.ambient_dim}")
-        denom = self.dual_generators @ k0
-        if np.any(denom <= self.tol):
-            raise NotInteriorPoint("base polytope needs <g, k0> > 0 for every facet normal")
-        return self.dual_generators / denom[:, None]
+    def base_polytope(self):
+        """Vertices of {xi in C* : <xi, k0> = 1}, the compact dual base: the
+        dual generators rescaled onto the slice (k0 is strictly interior, so
+        every <g, k0> is positive)."""
+        return self.dual_generators / (self.dual_generators @ self.k0)[:, None]
 
     def sample_dual_sphere(self, n):
         """Unit vectors in C* intersected with the unit sphere; no randomness.
@@ -315,10 +318,13 @@ class OrderingCone:
         functional maximized on a proper face of C* picks up a linear penalty the
         moment a sample leaves that face, so the arcs need their own dense
         coverage; interior maxima are flat to first order and tolerate
-        coarser spacing.
+        coarser spacing.  An n above CONE_SUBSET_BUDGET, or a simplex lattice
+        of more rows, is refused with InputError before it is built.
         """
         if n < 1:
             raise InputError("n must be >= 1")
+        if n > CONE_SUBSET_BUDGET:
+            raise InputError(f"sampling {n} dual directions exceeds the budget of {CONE_SUBSET_BUDGET}")
         gens = self.dual_generators
         f = gens.shape[0]
         if f == 1:  # a ray: C* meets the sphere in one point
@@ -342,6 +348,9 @@ class OrderingCone:
             while math.comb(k + f - 1, f - 1) < want + f:
                 k += 1
             while True:
+                if (size := math.comb(k + f - 1, f - 1)) > CONE_SUBSET_BUDGET:
+                    raise InputError(f"sampling {n} dual directions needs a simplex lattice "
+                                     f"of {size} rows; the budget is {CONE_SUBSET_BUDGET}")
                 lam = simplex_lattice(f, k)
                 combos = lam[lam.max(axis=1) < 1.0] @ gens
                 norms = np.linalg.norm(combos, axis=1)
@@ -360,8 +369,7 @@ class OrderingCone:
         s = s / np.linalg.norm(s)
         mixed = 0.9 * s[None, :] + 0.1 * self.unit_generators
         mixed = mixed / np.linalg.norm(mixed, axis=1)[:, None]
-        rows = _dedupe_unit_rows(list(np.vstack([self.k0[None, :], mixed])), 1e-9)
-        return rows
+        return _dedupe_unit_rows(np.vstack([self.k0[None, :], mixed]), 1e-9)
 
 
 def orthant(m):

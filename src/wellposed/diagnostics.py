@@ -28,7 +28,6 @@ from .problem import (
     lattice_image,
     lattice_values,
     level_set,
-    scalarize_linear,
     scalarize_oriented,
 )
 
@@ -333,8 +332,7 @@ def dh_diagnostic(problem: VectorProblem, x_bar, alpha_schedule=None,
     x_bar, f_bar = finite_image(problem, x_bar)
     schedule = _validate_schedule(alpha_schedule, "alpha_schedule")
     if require_efficient and _dominated(problem, f_bar, grid_resolution):
-        raise HypothesisNotMet(
-            "x_bar classifies as not efficient; pass require_efficient=False to override")
+        raise HypothesisNotMet("x_bar classifies as not efficient: a lattice point dominates it")
     box, cone = problem.domain, problem.cone
     dirs = cone.interior_direction_battery()
 
@@ -369,23 +367,3 @@ def dh_via_scalarization(problem: VectorProblem, x_bar, level_schedule=None,
     return replace(base, kind="dh-scalarized", label=problem.label, point=x_bar,
                    details={**base.details, "route": "oriented-distance-scalarization"})
 
-
-@dataclass(frozen=True)
-class LinearRouteResult:
-    """Outcome of the one-directional linear-scalarization sufficiency route."""
-
-    holds: bool
-    x_bar: np.ndarray | None
-    report: WellPosednessReport
-
-
-def dh_sufficient_linear(problem: VectorProblem, xi, level_schedule=None,
-                         grid_resolution=201) -> LinearRouteResult:
-    """Sufficient (not necessary) route: if <xi, f> is well-posed on the
-    lattice, its argmin is the predicted DH-well-posed point."""
-    sp = scalarize_linear(problem, xi)
-    report = tykhonov_diagnostic(sp, level_schedule=level_schedule,
-                                 grid_resolution=grid_resolution)
-    if report.verdict != WELL_POSED:
-        return LinearRouteResult(False, None, report)
-    return LinearRouteResult(True, report.details["argmin"], report)

@@ -281,11 +281,9 @@ def density_pipeline(problem: VectorProblem, sigma, grid_resolution=201, seed=0)
             f"no bounding functional found for {problem.label} "
             f"({len(search.scanned)} candidates scanned)", scanned=search.scanned)
     xi_bar = search.xi
-    pairing = float(problem.cone.k0 @ xi_bar)
-    if pairing <= problem.cone.tol:
-        raise NoBoundingFunctional("bounding functional is degenerate against k0",
-                                   scanned=search.scanned)
-    k0r = problem.cone.k0 / pairing
+    # xi_bar is a base vertex or a convex combination of them, so
+    # <k0, xi_bar> is 1 up to rounding
+    k0r = problem.cone.k0 / float(problem.cone.k0 @ xi_bar)
 
     j, g, d_f_g = _smallest_feasible_j(problem, float(sigma), anchor, k0r)
 

@@ -604,9 +604,11 @@ def _ball_battery(box: Box, anchor, radius):
 def function_distance(p: VectorProblem, q: VectorProblem) -> float:
     """Metric between two vector problems sharing a domain box; value in [0, 1].
 
+    The boxes' bounds must be equal, not close: the metric samples p's box.
     A non-finite image at a sample point is refused; a finite sup above
     METRIC_OVERFLOW, or one whose norm overflows, gives 1."""
-    if not (np.allclose(p.domain.lower, q.domain.lower) and np.allclose(p.domain.upper, q.domain.upper)):
+    if not (np.array_equal(p.domain.lower, q.domain.lower)
+            and np.array_equal(p.domain.upper, q.domain.upper)):
         raise InputError("problems must share a domain box")
     box = p.domain
     anchor = box.center

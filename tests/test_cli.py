@@ -108,6 +108,22 @@ def test_distance_requires_target_vector(tmp_path):
     assert code == 2
 
 
+def test_dual_samples_above_the_budget_exit_two(tmp_path):
+    code, text = run_cli(tmp_path, "distance", "--problem", "quad-pair", "--y", "1,1",
+                         "--n", "100001")
+    assert code == 2
+    assert parse_records(text)[0]["reason"] == (
+        "sampling 100001 dual directions exceeds the budget of 100000")
+
+
+def test_dh_check_of_a_dominated_point_states_why(tmp_path):
+    # the message names no library argument a command-line user cannot pass
+    code, text = run_cli(tmp_path, "dh-check", "--problem", "quad-pair", "--point", "0.5")
+    assert code == 2
+    assert parse_records(text)[0]["reason"] == (
+        "x_bar classifies as not efficient: a lattice point dominates it")
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
 def test_out_path_that_cannot_be_written_exits_two_before_any_work(
         tmp_path, monkeypatch, capsys, where):

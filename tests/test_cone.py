@@ -17,7 +17,12 @@ from wellposed import (
 )
 from wellposed import cone as cone_module
 
-from oracles import cone_is_pointed, integer_facet_normals
+from oracles import (
+    cone_is_pointed,
+    dedupe_rows_by_loop,
+    facet_normals_by_loop,
+    integer_facet_normals,
+)
 
 DIAGNOSE3D = Path(__file__).resolve().parents[1] / "bench" / "diagnose3d.yaml"
 
@@ -57,13 +62,15 @@ def test_dual_of_dual_recovers_generators():
 
 
 def test_base_polytope_orthant_diagonal():
-    c = orthant(2)
-    verts = c.base_polytope(k0=[1.0, 1.0])
+    eye = np.eye(2)
+    c = OrderingCone(2, eye, dual_generators=eye, k0=[1.0, 1.0])
+    verts = c.base_polytope()
     np.testing.assert_allclose(sorted_rows(verts), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
 
 def test_base_polytope_scaling():
-    verts = orthant(2).base_polytope(k0=[2.0, 1.0])
+    eye = np.eye(2)
+    verts = OrderingCone(2, eye, dual_generators=eye, k0=[2.0, 1.0]).base_polytope()
     np.testing.assert_allclose(sorted_rows(verts), [[0.0, 1.0], [0.5, 0.0]], atol=1e-12)
 
 
@@ -213,6 +220,7 @@ def test_constructor_agrees_with_pointedness_lp(m, data):
     assert refused_as_line != cone_is_pointed(gens)
 
 
+@pytest.mark.kernel
 @settings(deadline=None, max_examples=300)
 @given(st.integers(2, 6), st.data())
 def test_scaled_generators_keep_pointedness_and_facet_normals(m, data):
@@ -235,6 +243,7 @@ def test_scaled_generators_keep_pointedness_and_facet_normals(m, data):
     assert (verdict.unit_generators @ verdict.dual_generators.T).min() >= -cone_module.DUAL_VALIDITY_TOL
 
 
+@pytest.mark.kernel
 @settings(deadline=None, max_examples=12)
 @given(st.integers(5, 6), st.data())
 def test_dual_lists_missing_one_facet_normal_are_refused(m, data):
@@ -250,6 +259,41 @@ def test_dual_lists_missing_one_facet_normal_are_refused(m, data):
     for i in range(verdict.dual_generators.shape[0]):
         with pytest.raises(ConeValidationError, match="miss a facet normal"):
             OrderingCone(m, gens, dual_generators=np.delete(verdict.dual_generators, i, axis=0))
+
+
+def _array_bytes(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.kernel
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, 6), st.data())
+def test_facet_enumeration_gives_the_bytes_of_the_per_normal_loop(m, data):
+    # integer sets (flat, pointed or not, with repeats) and Gaussian ones,
+    # enumerated as given and as unit generators, the way the constructor
+    # calls it
+    if data.draw(st.booleans()):
+        gens = _random_integer_generators(m, data)
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        gens = rng.standard_normal((data.draw(st.integers(m - 1, m + 4)), m))
+    for g in (gens, gens / np.linalg.norm(gens, axis=1)[:, None]):
+        got = cone_module._enumerate_facet_normals(g, cone_module.TOL_MEMBERSHIP)
+        assert _array_bytes(got) == _array_bytes(facet_normals_by_loop(g, cone_module.TOL_MEMBERSHIP))
+
+
+@pytest.mark.kernel
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_row_dedupe_gives_the_bytes_of_the_pairwise_loop(m, n, seed):
+    # rows drawn from a few centres, moved by about the tolerance, so that
+    # chains of near-equal rows decide which row is kept
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((3, m))
+    rows = centres[rng.integers(0, 3, n)] + rng.standard_normal((n, m)) * 1e-9 * rng.integers(0, 3, (n, 1))
+    for tol in (1e-12, 1e-9):
+        assert _array_bytes(cone_module._dedupe_unit_rows(rows, tol)) == \
+            _array_bytes(dedupe_rows_by_loop(rows, tol))
 
 
 def _no_subset_svd(monkeypatch):
@@ -304,6 +348,24 @@ def test_dual_faces_over_the_subset_budget_are_refused_before_any_pinv(monkeypat
     monkeypatch.setattr(cone_module, "CONE_SUBSET_BUDGET", 74)
     with pytest.raises(InputError, match="needs 75 face supports; the budget is 74"):
         small.dual_faces
+
+
+def test_dual_samples_over_the_subset_budget_are_refused_before_any_is_built(monkeypatch):
+    # the orthant of R^6 has f = 6 duals, so 7 samples leave one to draw
+    # from the simplex lattice of step 1/2: C(7, 5) = 21 rows
+    monkeypatch.setattr(cone_module, "CONE_SUBSET_BUDGET", 21)
+    assert orthant(6).sample_dual_sphere(7).shape == (7, 6)
+    assert orthant(1).sample_dual_sphere(21).shape == (21, 1)
+
+    def no_lattice(*args):
+        raise AssertionError("a simplex lattice was built")
+
+    monkeypatch.setattr(cone_module, "simplex_lattice", no_lattice)
+    monkeypatch.setattr(cone_module, "CONE_SUBSET_BUDGET", 20)
+    with pytest.raises(InputError, match="simplex lattice of 21 rows; the budget is 20"):
+        orthant(6).sample_dual_sphere(7)
+    with pytest.raises(InputError, match="sampling 21 dual directions exceeds the budget of 20"):
+        orthant(1).sample_dual_sphere(21)
 
 
 @pytest.mark.parametrize("k0", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]])
@@ -459,6 +521,7 @@ def cone_digest(cone):
     return h.hexdigest()
 
 
+@pytest.mark.kernel
 def test_cone_arrays_match_recorded_digests():
     cones = {f"registry {e.label}": e.build().cone for e in registry.ENTRIES}
     cones["bench/diagnose3d.yaml"] = load_problem(DIAGNOSE3D).cone

@@ -246,6 +246,7 @@ def image_or_refusal(compile_expression, text, dim):
     return ev(pts).tobytes()
 
 
+@pytest.mark.kernel
 @settings(deadline=None, max_examples=500)
 @given(st.integers(1, 3), st.one_of(st.recursive(LEAVES, compound, max_leaves=12), TOKEN_STRINGS))
 def test_compiler_accepts_and_evaluates_as_the_descent_parser(dim, text):
@@ -276,6 +277,7 @@ def test_depth_bound_refuses_only_deeper_closures():
     np.testing.assert_array_equal(ev("+".join(["1"] * 2000), xs), [2000.0, 2000.0])
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("text, reason", [
     ("(" * 10_000 + "x" + ")" * 10_000, "malformed expression: too many nested parentheses"),
     ("-" * 10_000 + "x", "malformed expression: nested too deeply"),

@@ -20,7 +20,6 @@ from wellposed import (
     YES,
     classify_point,
     dh_diagnostic,
-    dh_sufficient_linear,
     dh_via_scalarization,
     geometric_schedule,
     load_problem,
@@ -89,8 +88,7 @@ def test_reports_carry_the_fixed_curve_thresholds():
     p = quad_pair()
     reports = [tykhonov_diagnostic(scalarize_linear(p, [1.0, 0.0]), grid_resolution=51),
                dh_diagnostic(p, [0.0], grid_resolution=51),
-               dh_via_scalarization(p, [0.0], grid_resolution=51),
-               dh_sufficient_linear(p, [1.0, 0.0], grid_resolution=51).report]
+               dh_via_scalarization(p, [0.0], grid_resolution=51)]
     for rep in reports:
         assert (rep.tol_abs, rep.decay_ratio) == (TOL_ABS, DECAY_RATIO)
 
@@ -224,6 +222,7 @@ def gate_cases():
         yield label, problem, res, points
 
 
+@pytest.mark.kernel
 def test_pruned_weak_efficiency_scan_agrees_with_the_full_distance_image():
     # the reference reads the unpruned D image of the whole lattice
     for label, problem, res, points in gate_cases():
@@ -244,6 +243,7 @@ def refused_by_the_efficiency_gate(problem, x_bar, res):
     return False
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("cap", ["stored", "over-cap"])
 def test_dh_efficiency_gate_agrees_with_classify_point(monkeypatch, cap):
     if cap == "over-cap":
@@ -402,19 +402,21 @@ def test_dh_well_posed_never_strictly_no():
 
 
 def test_linear_route_sufficient_only():
+    # a well-posed linear scalarization <xi, f> predicts its argmin DH well-posed
     p = prob(lambda x: np.stack([x[:, 0] ** 2, x[:, 0] ** 4], axis=1), 2, [-1.5], [1.5])
     # sqrt-type level sets need the deep schedule to drop below the lattice
-    res = dh_sufficient_linear(p, [1.0, 0.0], level_schedule=geometric_schedule(20),
-                               grid_resolution=201)
-    assert res.holds is True
-    np.testing.assert_allclose(res.x_bar, [0.0], atol=1e-12)
-    assert dh_diagnostic(p, res.x_bar, alpha_schedule=geometric_schedule(20),
+    rep = tykhonov_diagnostic(scalarize_linear(p, [1.0, 0.0]),
+                              level_schedule=geometric_schedule(20), grid_resolution=201)
+    assert rep.verdict == WELL_POSED
+    x_bar = rep.details["argmin"]
+    np.testing.assert_allclose(x_bar, [0.0], atol=1e-12)
+    assert dh_diagnostic(p, x_bar, alpha_schedule=geometric_schedule(20),
                          grid_resolution=201).verdict == WELL_POSED
 
 
 def test_linear_route_false_for_flat_function():
-    res = dh_sufficient_linear(zero_fn(), [1.0, 0.0], grid_resolution=201)
-    assert res.holds is False
+    rep = tykhonov_diagnostic(scalarize_linear(zero_fn(), [1.0, 0.0]), grid_resolution=201)
+    assert rep.verdict != WELL_POSED
 
 
 def nan_right_tail():
@@ -525,6 +527,7 @@ def test_nested_walk_equals_the_per_level_test(m, data):
 
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("label", registry.labels() + ("diagnose-3d",))
 def test_over_cap_level_set_route_matches_the_stored_margins(monkeypatch, label):
     # the store path walks nested levels over kept margins; above the cap one

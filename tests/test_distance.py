@@ -89,6 +89,7 @@ def test_sampled_max_close_below_exact_in_r3():
         assert exact - 1e-2 <= approx <= exact + 1e-9
 
 
+@pytest.mark.kernel
 def test_batch_agrees_with_single():
     ys = np.random.default_rng(4).normal(size=(128, 2)) * 3.0
     batch = oriented_distance_batch(SKEW, ys)
@@ -96,6 +97,7 @@ def test_batch_agrees_with_single():
     np.testing.assert_array_equal(batch, singles)
 
 
+@pytest.mark.kernel
 def test_one_row_batches_give_the_batch_values():
     # a value must not depend on the rows batched with it: the pruned strict
     # efficiency scan projects a subset of each chunk, often a single row
@@ -113,6 +115,7 @@ def test_one_row_batches_give_the_batch_values():
         assert singles.tobytes() == batch[rows].tobytes()
 
 
+@pytest.mark.kernel
 def test_single_points_and_the_pruned_scan_project_each_row_once(monkeypatch):
     # a single point runs the batch's products and projection on its one row,
     # once for its value and nearest point; the pruned scan is the routine
@@ -206,6 +209,7 @@ def test_projection_is_kkt_optimal_on_random_cones(m, data):
         np.testing.assert_array_equal(batch[off], np.linalg.norm(qs[off], axis=1))
 
 
+@pytest.mark.kernel
 @settings(deadline=None, max_examples=60)
 @given(st.integers(2, 4), st.data())
 def test_pruned_batch_is_exact_where_it_keeps_rows(m, data):

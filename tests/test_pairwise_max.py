@@ -24,6 +24,8 @@ from wellposed.problem import _DIRECT_DIAMETER_MAX, _off_line_ends, _pairwise_ma
 
 from oracles import brute_max_distance, span_coords
 
+pytestmark = pytest.mark.kernel
+
 SIZES = (2, 3, 31, 33, 500, 3000)  # around the 32-row strips, up to the direct-route cap
 KINDS = ("random", "lattice", "offset")
 

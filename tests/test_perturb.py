@@ -256,6 +256,7 @@ def field_bits(fields):
     return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v) for k, v in fields.items()}
 
 
+@pytest.mark.kernel
 @settings(deadline=None, max_examples=120)
 @given(st.integers(1, 3), st.booleans(), st.data())
 def test_ekeland_matches_the_whole_lattice_oracle(d, pass_values, data):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,7 @@ def test_nearest_lattice_point_snaps():
         box.nearest_lattice_point(1, [0.13])  # a step of 2/0 would snap to NaN
 
 
+@pytest.mark.kernel
 @settings(deadline=None, max_examples=300)
 @given(st.integers(1, 3), st.integers(2, 400), st.sampled_from(("upper", "lower", "inside")),
        st.data())
@@ -176,6 +178,7 @@ def test_diameter_dense_cloud_matches_the_pair_maximum():
     assert diameter(cloud) == brute_max_distance(span_coords(cloud))
 
 
+@pytest.mark.kernel
 def test_projecting_only_the_kept_ends_gives_the_full_projection_bits():
     # diameter projects only the rows _off_line_ends keeps; each must get
     # the bits the projection of every row gives it
@@ -193,6 +196,7 @@ def test_projecting_only_the_kept_ends_gives_the_full_projection_bits():
         assert diameter(pts) == _pairwise_max(full[keep])
 
 
+@pytest.mark.kernel
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 4), st.integers(_DIRECT_DIAMETER_MAX + 1, 9000), st.booleans(),
        st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
@@ -467,6 +471,7 @@ def _dh_levels(label):
                      for c in problem.cone.interior_direction_battery()]
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("label", registry.labels() + ("diagnose-3d",))
 def test_stacked_levels_equal_one_pass_per_level(label):
     # one lattice pass tests every level of a stack with the same membership
@@ -481,6 +486,7 @@ def test_stacked_levels_equal_one_pass_per_level(label):
             assert pts.tobytes() == level_set(problem, y, 41).tobytes()
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("label", registry.labels() + ("diagnose-3d",))
 def test_level_sets_match_the_exact_membership_oracle(label):
     # every row whose exact margin is not within rounding reach of -tol must
@@ -501,6 +507,7 @@ def test_level_sets_match_the_exact_membership_oracle(label):
     assert decided_members > 0
 
 
+@pytest.mark.kernel
 def test_stacked_levels_equal_one_pass_per_level_above_the_store_cap():
     problem = registry.get("quad-pair").build()
     stack = np.array([[0.25, 0.25], [1e-4, 2e-4], [0.0, 0.0]])
@@ -524,6 +531,18 @@ def test_function_distance_constant_difference_frozen():
                       domain=p.domain, cone=p.cone)
     # ||v||=0.5 -> 0.5/1.5 * (1 - 2^-20)
     assert function_distance(p, q) == pytest.approx(0.33333301544189453, abs=1e-9)
+
+
+def test_function_distance_refuses_boxes_that_are_only_close():
+    # np.allclose once accepted a box wider by 1e-5, where the metric read 0,
+    # and broadcast a one-coordinate bound against a two-coordinate one
+    p = registry.get("quad-pair").build()
+    wider = replace(p, domain=Box(p.domain.lower, p.domain.upper + 1e-5))
+    line = vec_problem(lambda x: np.zeros((x.shape[0], 2)), 2, [-1.0], [1.0])
+    square = vec_problem(lambda x: np.zeros((x.shape[0], 2)), 2, [-1.0, -1.0], [1.0, 1.0])
+    for a, b in ((p, wider), (line, square), (square, line)):
+        with pytest.raises(InputError, match="problems must share a domain box"):
+            function_distance(a, b)
 
 
 def test_function_distance_refuses_nan_at_its_sample_points():

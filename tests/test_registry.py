@@ -141,6 +141,7 @@ def image_digest(problem, points):
     return hashlib.sha256(problem.evaluate(points).tobytes()).hexdigest()
 
 
+@pytest.mark.kernel
 def test_registry_images_match_recorded_digests():
     assert set(IMAGE_DIGESTS) == set(registry.labels())
     for entry in registry.ENTRIES:
