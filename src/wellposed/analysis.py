@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rows import row_max, row_min
-from .cone import _dedupe_unit_rows, simplex_lattice
+from .cone import simplex_lattice
 from .diagnostics import INCONCLUSIVE
 from .errors import InputError, NumericalFailure
 from .problem import Box, VectorProblem, dual_vector, finite_values
@@ -208,7 +208,9 @@ def find_bounding_functional(problem: VectorProblem, seed=0) -> BoundingSearch:
         candidates.append((w / w.sum()) @ verts)
 
     scanned = []
-    for xi in _dedupe_unit_rows(candidates, 1e-12):
+    for xi in candidates:
+        if any(np.linalg.norm(xi - s) <= 1e-12 for s, _ in scanned):
+            continue
         verdict = is_C_bounded_below(problem, xi)
         scanned.append((xi, verdict.verdict))
         if verdict.holds:

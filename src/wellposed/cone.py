@@ -20,15 +20,15 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._rows import row_max, row_min
+from ._rows import row_min
 from .errors import ConeValidationError, InputError, NotInteriorPoint
 
 TOL_MEMBERSHIP = 1e-9
 
 # Most generator subsets a facet enumeration, or face supports dual_faces, may
-# take: on one Xeon core 98,280 subsets in R^6 took 0.7 s (90 MB above the
-# interpreter), 11,440 in R^10 0.2 s.  It also bounds sample_dual_sphere's
-# rows and the simplex lattice it builds, both counted before any is built.
+# take: on one Xeon core 98,280 subsets in R^6 took 1.8 s (90 MB peak), 11,440 in R^10 0.5 s.
+# It also bounds sample_dual_sphere's rows and the simplex lattice it builds,
+# both counted before any is built.
 CONE_SUBSET_BUDGET = 100_000
 
 # Margin every unit generator must clear along the normalized generator sum
@@ -55,20 +55,12 @@ def _as_matrix(vectors, ambient_dim, what):
     return arr
 
 
-def _row_norms(rows):
-    """(n, 1) array of np.linalg.norm(row) for each row, bit for bit: the
-    per-row dot it takes (np.linalg.norm(rows, axis=1) sums pairwise)."""
-    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
-
-
 def _dedupe_unit_rows(rows, tol):
-    """The rows, in order, less each row within tol of a kept earlier row."""
-    rows = np.asarray(rows)
-    kept = np.ones(rows.shape[0], dtype=bool)
-    for i in range(rows.shape[0]):
-        if kept[i]:
-            kept[i + 1:] &= ~(_row_norms(rows[i + 1:] - rows[i])[:, 0] <= tol)
-    return rows[kept]
+    kept = []
+    for r in rows:
+        if not any(np.linalg.norm(r - k) <= tol for k in kept):
+            kept.append(r)
+    return np.array(kept)
 
 
 def _fresh_rows(units, taken):
@@ -101,16 +93,15 @@ def _enumerate_facet_normals(generators, tol):
     stack = generators[np.array(subsets, dtype=np.intp).reshape(len(subsets), m - 1)]
     _, s, vt = np.linalg.svd(stack, full_matrices=True)
     rank = np.sum(s > np.maximum(s[:, :1], 1.0) * 1e-12, axis=1)
-    normals = vt[rank == m - 1, -1]
-    del stack, s, vt  # the largest arrays: freed before the products are built
-    normals = normals / _row_norms(normals)
-    # one matrix-vector product per normal, as generators @ normal gives it
-    # (one matrix product would round differently near the sign tests)
-    prods = (generators @ normals[:, :, None])[..., 0]
-    # each valid normal, then its negation
-    signed = np.stack([normals, -normals], axis=1)
-    valid = np.stack([row_min(prods) >= -tol, row_max(prods) <= tol], axis=1)
-    return _dedupe_unit_rows(signed[valid], 1e-9)
+    candidates = []
+    for normal in vt[rank == m - 1, -1]:
+        normal = normal / np.linalg.norm(normal)
+        prods = generators @ normal
+        if np.all(prods >= -tol):
+            candidates.append(normal)
+        if np.all(-prods >= -tol):
+            candidates.append(-normal)
+    return _dedupe_unit_rows(candidates, 1e-9).reshape(-1, m)
 
 
 def _dual_cone_generators(units, tol):

@@ -150,36 +150,6 @@ def integer_facet_normals(generators):
     return normals / np.linalg.norm(normals, axis=1)[:, None]
 
 
-def dedupe_rows_by_loop(rows, tol):
-    """The rows, in order, less each row within tol of a kept earlier row,
-    one norm per pair."""
-    kept = []
-    for r in rows:
-        if not any(np.linalg.norm(r - k) <= tol for k in kept):
-            kept.append(r)
-    return np.array(kept)
-
-
-def facet_normals_by_loop(generators, tol):
-    """The facet enumeration one normal at a time: the SVD nullspace of
-    every (m-1)-subset of generators, normalized, kept in each orientation
-    nonnegative (to -tol) on every generator, deduplicated at 1e-9."""
-    m = generators.shape[1]
-    subsets = list(combinations(range(generators.shape[0]), m - 1))
-    stack = generators[np.array(subsets, dtype=np.intp).reshape(len(subsets), m - 1)]
-    _, s, vt = np.linalg.svd(stack, full_matrices=True)
-    rank = np.sum(s > np.maximum(s[:, :1], 1.0) * 1e-12, axis=1)
-    candidates = []
-    for normal in vt[rank == m - 1, -1]:
-        normal = normal / np.linalg.norm(normal)
-        prods = generators @ normal
-        if np.all(prods >= -tol):
-            candidates.append(normal)
-        if np.all(-prods >= -tol):
-            candidates.append(-normal)
-    return dedupe_rows_by_loop(candidates, 1e-9).reshape(-1, m)
-
-
 def evp_violations(values, points, x_hat, x_start, epsilon, r, spacing):
     """Counts of lattice points violating each Ekeland conclusion.
 

@@ -17,12 +17,7 @@ from wellposed import (
 )
 from wellposed import cone as cone_module
 
-from oracles import (
-    cone_is_pointed,
-    dedupe_rows_by_loop,
-    facet_normals_by_loop,
-    integer_facet_normals,
-)
+from oracles import cone_is_pointed, integer_facet_normals
 
 DIAGNOSE3D = Path(__file__).resolve().parents[1] / "bench" / "diagnose3d.yaml"
 
@@ -259,41 +254,6 @@ def test_dual_lists_missing_one_facet_normal_are_refused(m, data):
     for i in range(verdict.dual_generators.shape[0]):
         with pytest.raises(ConeValidationError, match="miss a facet normal"):
             OrderingCone(m, gens, dual_generators=np.delete(verdict.dual_generators, i, axis=0))
-
-
-def _array_bytes(a):
-    return a.dtype, a.shape, a.tobytes()
-
-
-@pytest.mark.kernel
-@settings(deadline=None, max_examples=300)
-@given(st.integers(2, 6), st.data())
-def test_facet_enumeration_gives_the_bytes_of_the_per_normal_loop(m, data):
-    # integer sets (flat, pointed or not, with repeats) and Gaussian ones,
-    # enumerated as given and as unit generators, the way the constructor
-    # calls it
-    if data.draw(st.booleans()):
-        gens = _random_integer_generators(m, data)
-    else:
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        gens = rng.standard_normal((data.draw(st.integers(m - 1, m + 4)), m))
-    for g in (gens, gens / np.linalg.norm(gens, axis=1)[:, None]):
-        got = cone_module._enumerate_facet_normals(g, cone_module.TOL_MEMBERSHIP)
-        assert _array_bytes(got) == _array_bytes(facet_normals_by_loop(g, cone_module.TOL_MEMBERSHIP))
-
-
-@pytest.mark.kernel
-@settings(deadline=None, max_examples=200)
-@given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))
-def test_row_dedupe_gives_the_bytes_of_the_pairwise_loop(m, n, seed):
-    # rows drawn from a few centres, moved by about the tolerance, so that
-    # chains of near-equal rows decide which row is kept
-    rng = np.random.default_rng(seed)
-    centres = rng.standard_normal((3, m))
-    rows = centres[rng.integers(0, 3, n)] + rng.standard_normal((n, m)) * 1e-9 * rng.integers(0, 3, (n, 1))
-    for tol in (1e-12, 1e-9):
-        assert _array_bytes(cone_module._dedupe_unit_rows(rows, tol)) == \
-            _array_bytes(dedupe_rows_by_loop(rows, tol))
 
 
 def _no_subset_svd(monkeypatch):
