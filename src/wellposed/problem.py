@@ -11,6 +11,7 @@ diameter-flavored tolerance in the package.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -53,6 +54,10 @@ METRIC_TAIL = 2.0 ** -METRIC_TRUNCATION
 
 
 def _checked_resolution(resolution):
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        raise InputError("grid resolution must be an integer") from None
     if resolution < 2:
         raise InputError("grid resolution must be >= 2")
     return resolution
@@ -137,16 +142,37 @@ class Box:
     def iter_lattice(self, resolution):
         """Yield (points, start_flat_index) chunks of CHUNK points in C order.
 
-        A lattice above LATTICE_BUDGET points raises InputError before the
-        first chunk.
+        In C order axis j's column repeats each axis value s = res^(d-1-j)
+        times and cycles every res * s points.  When a cycle fits in a chunk
+        the column is a slice of that cycle, tiled once per pass to a chunk
+        plus a cycle or to the lattice, whichever is shorter; otherwise it is
+        np.repeat of the few runs the chunk meets, the first and last clipped
+        to it.  The values are copies of the linspace axes, so each chunk has
+        the bits of lattice_points_at over its indices.  A lattice above
+        LATTICE_BUDGET points raises InputError before the first chunk.
         """
         total = self.lattice_size(resolution)
         if total > LATTICE_BUDGET:
             raise InputError(f"lattice of {total} points exceeds the budget {LATTICE_BUDGET} "
                              "of one pass")
+        axes = self._axes(resolution)
+        runs = [resolution ** (self.dim - 1 - j) for j in range(self.dim)]
+        tiled = [np.resize(np.repeat(axis, s), min(CHUNK + resolution * s - 1, total))
+                 if resolution * s <= CHUNK else None for axis, s in zip(axes, runs)]
         for start in range(0, total, CHUNK):
-            idx = np.arange(start, min(start + CHUNK, total))
-            yield self.lattice_points_at(resolution, idx), start
+            stop = min(start + CHUNK, total)
+            pts = np.empty((stop - start, self.dim))
+            for j, (axis, s, cycle) in enumerate(zip(axes, runs, tiled)):
+                if cycle is not None:
+                    off = start % (resolution * s)
+                    pts[:, j] = cycle[off:off + stop - start]
+                    continue
+                first, last = start // s, (stop - 1) // s
+                counts = np.full(last - first + 1, s)
+                counts[0] -= start - first * s
+                counts[-1] -= (last + 1) * s - stop
+                pts[:, j] = np.repeat(axis[np.arange(first, last + 1) % resolution], counts)
+            yield pts, start
 
     def map_lattice(self, resolution, fn):
         """fn applied to every lattice chunk, stacked in C order.
@@ -164,10 +190,25 @@ class Box:
         return out
 
     def lattice_points_at(self, resolution, flat_indices):
-        """Reconstruct lattice points from flat indices without a grid pass."""
+        """Lattice points of the given flat indices (C order) without a grid
+        pass, as a C-contiguous (n, dim) array.
+
+        Axis by axis from the last, q = idx // res picks the outer index and
+        idx - q * res the column's axis value.  An index below 0 or at or
+        above the lattice size raises InputError.
+        """
         axes = self._axes(resolution)
-        multi = np.unravel_index(np.asarray(flat_indices, dtype=np.int64), (resolution,) * self.dim)
-        return np.stack([axes[j][multi[j]] for j in range(self.dim)], axis=1)
+        rest = np.asarray(flat_indices, dtype=np.int64)
+        size = self.lattice_size(resolution)
+        if rest.size and (rest.min() < 0 or rest.max() >= size):
+            raise InputError(f"flat index out of range for a lattice of {size} points")
+        pts = np.empty((rest.size, self.dim))
+        for j in range(self.dim - 1, 0, -1):
+            q = rest // resolution
+            pts[:, j] = axes[j][rest - q * resolution]
+            rest = q
+        pts[:, 0] = axes[0][rest]
+        return pts
 
     def nearest_lattice_point(self, resolution, x):
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -313,7 +354,11 @@ def diameter(point_set):
     and only the kept rows are projected, each to the bits the full
     projection gives it; at rank 1 the projected value is monotone in the
     last coordinate along each run of rows the drop acts on, so the kept
-    ends hold both extremes.  No scipy is loaded.
+    ends hold both extremes.  The basis is the SVD of R, the triangular
+    factor of the centred rows: LAPACK's dgesdd takes that route itself on
+    a matrix with at least 11/6 as many rows as columns (here any set in up
+    to 1,636 coordinates), so s and vt keep the bits of the thin SVD of the
+    rows, and its n x d U factor is never formed.  No scipy is loaded.
     """
     pts = np.atleast_2d(np.asarray(point_set, dtype=float))
     if not np.isfinite(pts).all():
@@ -324,7 +369,7 @@ def diameter(point_set):
     if n <= _DIRECT_DIAMETER_MAX:
         return _pairwise_max(pts[_off_line_ends(pts)])
     centered = row_sub(pts, pts.mean(axis=0))
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    _, s, vt = np.linalg.svd(np.linalg.qr(centered, mode="r"), full_matrices=False)
     rank = int(np.sum(s > max(s[0], 1.0) * 1e-12))
     if rank == 0:
         return 0.0

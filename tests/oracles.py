@@ -187,6 +187,24 @@ def span_coords(points):
     return centered @ vt[:rank].T
 
 
+def full_svd_basis(points):
+    """The centred rows of an (n, d) array and the singular values and right
+    singular vectors of their thin SVD, its U factor formed: the basis
+    problem.diameter took above its direct-route size before it factored R."""
+    centered = points - points.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    return centered, s, vt
+
+
+def unravel_lattice_points(box, resolution, flat_indices):
+    """Lattice points of flat indices as Box.lattice_points_at gathered them
+    before it divided by the resolution: np.unravel_index of the indices, one
+    gather per linspace axis, stacked."""
+    axes = [np.linspace(box.lower[j], box.upper[j], resolution) for j in range(box.dim)]
+    multi = np.unravel_index(np.asarray(flat_indices, dtype=np.int64), (resolution,) * box.dim)
+    return np.stack([axes[j][multi[j]] for j in range(box.dim)], axis=1)
+
+
 def rank_one_extent(points):
     """problem.diameter's former rank-1 route above its direct-route size:
     the extent (max - min, which is pdist's maximum in one coordinate) of

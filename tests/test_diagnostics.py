@@ -142,6 +142,25 @@ def test_every_route_refuses_x_bar_outside_the_box(check):
         check(quad_pair())
 
 
+@pytest.mark.parametrize("resolution", [21.0, np.float64(21), 21.5])
+def test_a_non_integer_grid_resolution_is_refused_by_name(resolution):
+    # np.linspace once raised a bare TypeError for each of these
+    with pytest.raises(InputError, match="grid resolution must be an integer"):
+        classify_point(quad_pair(), [0.0], resolution)
+    with pytest.raises(InputError, match="grid resolution must be an integer"):
+        tykhonov_diagnostic(scalarize_linear(quad_pair(), [1.0, 1.0]), grid_resolution=resolution)
+
+
+def test_a_numpy_integer_resolution_is_taken_and_true_is_below_two():
+    def verdict(v):
+        return v.efficient, v.weakly_efficient, v.strictly_efficient, v.point.tobytes()
+
+    assert verdict(classify_point(quad_pair(), [0.0], np.int64(21))) == verdict(
+        classify_point(quad_pair(), [0.0], 21))
+    with pytest.raises(InputError, match="grid resolution must be >= 2"):
+        classify_point(quad_pair(), [0.0], True)
+
+
 def test_non_finite_image_at_x_bar_is_refused():
     # NaN only at one lattice point; a scan against NaN finds no dominator
     x_nan = np.linspace(-1.0, 1.0, 201)[130]

@@ -38,9 +38,11 @@ from wellposed.problem import (
 from oracles import (
     brute_max_distance,
     exact_level_members,
+    full_svd_basis,
     metric_series,
     rank_one_extent,
     span_coords,
+    unravel_lattice_points,
 )
 
 
@@ -124,6 +126,59 @@ def test_nearest_lattice_point_is_the_lattice_point_of_its_index(d, res, where, 
         x = getattr(box, where)
     point, flat = box.nearest_lattice_point(res, x)
     assert point.tobytes() == box.lattice_points_at(res, [flat])[0].tobytes()
+
+
+def random_box(data, d):
+    """A box with independent random bounds and widths on every axis."""
+    lower = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
+    width = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    return Box(lower, lower + width)
+
+
+@pytest.mark.kernel
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 5), st.sampled_from((1, 2, 3, 7, 64, 1000, CHUNK)), st.data())
+def test_lattice_chunks_have_the_bits_of_the_unravelled_gather(d, chunk, data):
+    # small chunks start mid-line and mid-cycle of every axis's column;
+    # CHUNK itself splits lattices of up to 600,000 points
+    limit = 3000 if chunk < 1000 else 600_000
+    res = data.draw(st.integers(2, max(2, int(round(limit ** (1.0 / d))))))
+    box = random_box(data, d)
+    total = res ** d
+    expected = unravel_lattice_points(box, res, np.arange(total))
+    seen = 0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(problem_module, "CHUNK", chunk)
+        for pts, start in box.iter_lattice(res):
+            assert start == seen and pts.shape == (min(chunk, total - start), d)
+            assert pts.dtype == np.float64 and pts.flags.c_contiguous
+            assert pts.tobytes() == expected[start:start + pts.shape[0]].tobytes()
+            seen += pts.shape[0]
+    assert seen == total
+
+
+@pytest.mark.kernel
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 5), st.sampled_from(("random", "sorted", "repeated", "empty")), st.data())
+def test_lattice_gathers_have_the_bits_of_the_unravelled_gather(d, kind, data):
+    res = data.draw(st.integers(2, max(2, int(round(200_000 ** (1.0 / d))))))
+    box = random_box(data, d)
+    total = res ** d
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    idx = rng.integers(0, total, rng.integers(1, 5000))
+    if kind == "sorted":
+        idx = np.unique(idx)
+    elif kind == "repeated":
+        idx = np.repeat(idx[:50], rng.integers(1, 6, min(50, idx.size)))
+    elif kind == "empty":
+        idx = np.array([], dtype=np.int64)
+    pts = box.lattice_points_at(res, idx)
+    assert pts.shape == (idx.size, d) and pts.dtype == np.float64 and pts.flags.c_contiguous
+    assert pts.tobytes() == unravel_lattice_points(box, res, idx).tobytes()
+    assert box.lattice_points_at(res, list(idx)).tobytes() == pts.tobytes()
+    for bad in ([-1], [total], [0, total + 7], [-total]):
+        with pytest.raises(InputError, match="out of range"):
+            box.lattice_points_at(res, bad)
 
 
 def test_box_membership_allows_a_fixed_slack():
@@ -256,6 +311,44 @@ def lattice_subsets(seed):
         centre = box.lower + rng.random(d) * (box.upper - box.lower)
         r = np.linalg.norm(lattice - centre, axis=1)
         yield lattice[r <= np.quantile(r, rng.uniform(0.6, 0.9))]
+
+
+@pytest.mark.kernel
+@settings(deadline=None, max_examples=80)
+@given(st.integers(_DIRECT_DIAMETER_MAX + 1, 20_000), st.integers(2, 6),
+       st.sampled_from(("normal", "rank-deficient", "repeated", "lattice")),
+       st.floats(-12.0, 12.0), st.integers(0, 2**32 - 1))
+def test_diameter_basis_from_r_has_the_bits_of_the_full_svd(n, d, kind, exponent, seed):
+    # the SVD of R, the triangular factor of the centred rows, is the route
+    # dgesdd takes itself on a tall matrix, so s and vt keep their bits and
+    # so does the diameter measured in that basis
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        res = int(np.ceil((2.5 * n) ** (1.0 / d))) + 1
+        box = Box(-rng.uniform(0.5, 2.0, d), rng.uniform(0.5, 2.0, d))
+        flat = np.sort(rng.choice(res ** d, size=min(n, res ** d), replace=False))
+        pts = box.lattice_points_at(res, flat)
+    else:
+        pts = rng.standard_normal((n, d))
+        if kind == "rank-deficient":
+            k = d - d // 2
+            pts[:, k:] = pts[:, :k] @ rng.standard_normal((k, d - k))
+        elif kind == "repeated":
+            pts = pts[rng.integers(0, n // 3, n)]
+    pts = pts * 10.0 ** exponent + rng.standard_normal(d) * 10.0 ** exponent
+    centered, s, vt = full_svd_basis(pts)
+    seen, svd = [], np.linalg.svd
+
+    def recorded_svd(a, **kwargs):
+        seen.append(svd(a, **kwargs))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "svd", recorded_svd)
+        got = diameter(pts)
+    assert seen[0].S.tobytes() == s.tobytes() and seen[0].Vh.tobytes() == vt.tobytes()
+    rank = int(np.sum(s > max(s[0], 1.0) * 1e-12))
+    assert got == _pairwise_max(centered[_off_line_ends(pts)] @ vt[:rank].T)
 
 
 @pytest.mark.parametrize("seed", range(3))
