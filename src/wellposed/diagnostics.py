@@ -10,25 +10,25 @@ thresholds STRICT_EPS and STRICT_DELTA are fixed module constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._rows import row_norm, row_sub
-from .distance import _oriented_distance_upto
+from .distance import _beyond, _facet_top, _oriented_distance_upto, oriented_distance_batch
 from .errors import HypothesisNotMet, InputError, WellposedError
 from .problem import (
     LATTICE_CAP,
     ScalarProblem,
     VectorProblem,
-    _level_members,
     _nested_members,
+    _screened_walks,
     diameter,
     finite_image,
+    finite_values,
     lattice_image,
     lattice_values,
     level_set,
-    scalarize_oriented,
 )
 
 YES = "yes"
@@ -68,18 +68,33 @@ def _validate_schedule(schedule, what):
 # efficiency classification
 
 
-def _domination(cone, diff, rtol):
-    """(margins, sizes, dom, weak) for the rows of diff = f(x) - f(x_bar).
+def _domination(cone, diff, margins, rtol):
+    """(dom, weak) for the rows of diff = f(x) - f(x_bar), whose membership
+    margins of f(x_bar) - f(x) are margins.
 
-    margins are the membership margins of f(x_bar) - f(x) and sizes the
-    norms of diff.  x is a domination witness (dom) when f(x) lies below
-    f(x_bar) in the cone order, at the cone's own tolerance, and apart from
-    it by more than rtol; a weak witness (weak) has every facet margin
-    above rtol.  x_bar is efficient unless some row is either.
+    x is a domination witness (dom) when f(x) lies below f(x_bar) in the
+    cone order, at the cone's own tolerance, and apart from it by more than
+    rtol in norm; a weak witness (weak) has every facet margin above rtol.
+    x_bar is efficient unless some row is either.  Norms are taken only on
+    the rows in the cone.
     """
-    margins = cone.margins(-diff)
-    sizes = row_norm(diff)
-    return margins, sizes, (margins >= -cone.tol) & (sizes > rtol), margins > rtol
+    dom = margins >= -cone.tol
+    rows = np.flatnonzero(dom)
+    dom[rows] = row_norm(diff[rows]) > rtol
+    return dom, margins > rtol
+
+
+def _dominates(cone, diff, rtol):
+    """Whether some row of diff = f(x) - f(x_bar) is a witness of _domination."""
+    dom, weak = _domination(cone, diff, cone.margins(-diff), rtol)
+    return bool(dom.any() or weak.any())
+
+
+def _witness_margin(cone, diff, k):
+    """cone.margins(-diff)[k] with its bits.  -row_max(diff @ G.T) can
+    differ from it only in the sign of a zero; two copies of row k take the
+    many-row kernel of a chunk, and a one-row chunk keeps its own."""
+    return float(cone.margins(-diff[[k, k]] if len(diff) > 1 else -diff)[0])
 
 
 @dataclass(frozen=True)
@@ -111,6 +126,11 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> Effici
     a certificate tolerance, so only the points whose margin can reach
     STRICT_DELTA are projected (distance._oriented_distance_upto), and a
     NumericalFailure can come only from those points.
+    Each chunk's facet products are formed once: D's pruning reads each
+    row's largest, the domination rule its negation, and a witness's
+    margin is re-taken with cone.margins' bits (_witness_margin).  Norms of
+    f(x) - f(x_bar) are taken only where the margin admits a witness, and
+    distances to x_bar only on {D <= STRICT_DELTA}.
     A non-finite lattice image raises InputError.
     """
     x_bar, f_bar = finite_image(problem, x_bar)
@@ -133,34 +153,42 @@ def classify_point(problem: VectorProblem, x_bar, grid_resolution=201) -> Effici
         with np.errstate(over="ignore", invalid="ignore"):
             vals = lattice_image(problem, pts)
             diff = row_sub(vals, f_bar)
-            margins, sizes, dom, weak = _domination(cone, diff, rtol)
+            # one facet product per chunk: D's pruning reads each row's
+            # largest, the domination rule its negation (a one-row chunk's
+            # margins keep their own kernel, see _witness_margin)
+            top = _facet_top(cone, diff)
+            dom, weak = _domination(cone, diff, -top if len(diff) > 1 else cone.margins(-diff),
+                                    rtol)
             # exact where D <= STRICT_DELTA can hold, +inf elsewhere: the
             # only values the containment tests below read
-            dvals = _oriented_distance_upto(cone, diff, STRICT_DELTA)
-        dists = row_norm(row_sub(pts, x_bar))
+            dvals = _oriented_distance_upto(cone, diff, STRICT_DELTA, top)
 
         if dom.any() and "efficient" not in witnesses:
             k = int(np.flatnonzero(dom)[0])
             witnesses["efficient"] = {"x": pts[k], "f": vals[k],
-                                      "margin": float(margins[k]), "size": float(sizes[k])}
+                                      "margin": _witness_margin(cone, diff, k),
+                                      "size": float(row_norm(diff[[k]])[0])}
             efficient = NO
         if weak.any() and "weakly_efficient" not in witnesses:
             k = int(np.flatnonzero(weak)[0])
             witnesses["weakly_efficient"] = {"x": pts[k], "f": vals[k],
-                                             "margin": float(margins[k])}
+                                             "margin": _witness_margin(cone, diff, k)}
             weakly = NO
 
-        with np.errstate(invalid="ignore"):
-            near_zero = dvals <= hard_tol
+        # distances to x_bar only on {D <= STRICT_DELTA}, which holds the
+        # hard level-zero set: cone.tol is far below STRICT_DELTA
+        sel = np.flatnonzero(dvals <= STRICT_DELTA)
+        if not sel.size:
+            continue
+        dists = row_norm(row_sub(pts[sel], x_bar))
+        delta_maxdist = max(delta_maxdist, float(dists.max()))
+        near_zero = dvals[sel] <= hard_tol
         if near_zero.any():
             far = float(dists[near_zero].max())
             if far > zero_maxdist:
                 zero_maxdist = far
-                k = int(np.flatnonzero(near_zero)[int(np.argmax(dists[near_zero]))])
+                k = int(sel[near_zero][int(np.argmax(dists[near_zero]))])
                 zero_far_witness = {"x": pts[k], "distance": far, "value": float(dvals[k])}
-        sel = dvals <= STRICT_DELTA
-        if sel.any():
-            delta_maxdist = max(delta_maxdist, float(dists[sel].max()))
 
     if zero_maxdist > STRICT_EPS:
         strict = NO
@@ -214,9 +242,7 @@ def _dominated(problem: VectorProblem, f_bar, grid_resolution) -> bool:
     dominated = False
     for pts, _ in problem.domain.iter_lattice(grid_resolution):
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = row_sub(lattice_image(problem, pts), f_bar)
-            _, _, dom, weak = _domination(problem.cone, diff, rtol)
-        dominated |= bool(dom.any() or weak.any())
+            dominated |= _dominates(problem.cone, row_sub(lattice_image(problem, pts), f_bar), rtol)
     return dominated
 
 
@@ -286,28 +312,39 @@ def _report(box, grid_resolution, schedule, columns, **fields):
         tol_abs=TOL_ABS, decay_ratio=DECAY_RATIO, **fields)
 
 
-def tykhonov_diagnostic(sp: ScalarProblem, level_schedule=None,
-                        grid_resolution=201) -> WellPosednessReport:
-    """Level-set diameter decay above the lattice infimum (scalar problems).
+def _infimum_report(box, grid_resolution, schedule, values, details, **fields):
+    """The one-column report of the level sets {values <= inf + offset}
+    above the lattice infimum inf of values, one per schedule offset.
 
-    Levels are inf + offset for each schedule offset; the argmin always
-    belongs to every level set, so the curve exists everywhere.  The level
-    sets shrink with the offset, so each level is tested only on the
-    members of the level before (see _nested_members; a bound that fails
-    to shrink under rounding is tested on every point).  A non-finite
-    lattice value raises InputError.
+    The argmin belongs to every level set, so the curve exists everywhere.
+    The level sets shrink with the offset, so each level is tested only on
+    the members of the level before (see _nested_members; a bound that
+    fails to shrink under rounding is tested on every point).
     """
-    schedule = _validate_schedule(level_schedule, "level_schedule")
-    values = lattice_values(sp, grid_resolution)
     inf = float(values.min())
     levels = _nested_members(values[:, None], (np.array([inf + off]) for off in schedule))
-    column = _curve(sp.domain, grid_resolution, levels)
+    column = _curve(box, grid_resolution, levels)
     if not column[1].all():
         raise WellposedError("internal: empty level set above the infimum")
-    argmin_point = sp.domain.lattice_points_at(grid_resolution, [int(values.argmin())])[0]
-    return _report(sp.domain, grid_resolution, schedule, [column],
-                   kind="tykhonov", label=sp.label, point=None, directions=None,
-                   details={"lattice_infimum": inf, "argmin": argmin_point})
+    argmin_point = box.lattice_points_at(grid_resolution, [int(values.argmin())])[0]
+    return _report(box, grid_resolution, schedule, [column], directions=None,
+                   details={"lattice_infimum": inf, "argmin": argmin_point, **details},
+                   **fields)
+
+
+def tykhonov_diagnostic(sp: ScalarProblem, level_schedule=None,
+                        grid_resolution=201) -> WellPosednessReport:
+    """Level-set diameter decay above the lattice infimum (scalar problems):
+    levels inf + offset for each schedule offset (_infimum_report).  A
+    non-finite lattice value raises InputError.
+    """
+    schedule = _validate_schedule(level_schedule, "level_schedule")
+    return _infimum_report(sp.domain, grid_resolution, schedule,
+                           lattice_values(sp, grid_resolution), {},
+                           kind="tykhonov", label=sp.label, point=None)
+
+
+_NOT_EFFICIENT = "x_bar classifies as not efficient: a lattice point dominates it"
 
 
 def dh_diagnostic(problem: VectorProblem, x_bar, alpha_schedule=None,
@@ -318,31 +355,47 @@ def dh_diagnostic(problem: VectorProblem, x_bar, alpha_schedule=None,
     of cone.interior_direction_battery(); any two interior directions bound
     each other's level sets, so the battery stands for all of them, and
     well-posed evidence needs every direction's curve to collapse.  x_bar
-    must classify efficient unless require_efficient=False: one lattice pass
-    reads only classify_point's domination rule (_dominated), and
+    must classify efficient unless require_efficient=False: the gate reads
+    only classify_point's domination rule (_dominates), and
     HypothesisNotMet is raised if some lattice point dominates x_bar.
 
     Along each direction the levels are walked nested by level_set's rule
     on the products <g, f(x)> with the dual generators g (_level_members).
-    The routes differ only in where those products come from: up to the
-    store cap the whole lattice's are kept for every direction, above it one
-    level_set pass per direction streams them, so both give the same
-    members.  A non-finite lattice image raises InputError on both.
+    The routes differ only in where those products come from.  Up to the
+    store cap one lattice pass evaluates each chunk once, for both the gate
+    and the products, and keeps only the rows at or below the screen, the
+    componentwise largest bound row of every direction and level
+    (_screened_walks): a row above it is in no level set.  HypothesisNotMet
+    is raised after that pass.  Above the cap a gate pass comes first, then
+    one level_set pass per direction streams the products.  Both give the
+    same members, and a non-finite lattice image raises InputError on both,
+    at its chunk.
     """
     x_bar, f_bar = finite_image(problem, x_bar)
     schedule = _validate_schedule(alpha_schedule, "alpha_schedule")
-    if require_efficient and _dominated(problem, f_bar, grid_resolution):
-        raise HypothesisNotMet("x_bar classifies as not efficient: a lattice point dominates it")
     box, cone = problem.domain, problem.cone
+    rtol = 2.0 * box.lattice_spacing(grid_resolution)
     dirs = cone.interior_direction_battery()
 
     if box.lattice_size(grid_resolution) <= LATTICE_CAP:
-        # <g, f(x)> per lattice point and dual generator g
-        img_margins = box.map_lattice(
-            grid_resolution, lambda pts: lattice_image(problem, pts) @ cone.dual_generators.T)
-        columns = [_curve(box, grid_resolution, _level_members(
-            cone, img_margins, (f_bar + alpha * c for alpha in schedule))) for c in dirs]
+        dominated = []
+
+        def products():
+            for pts, start in box.iter_lattice(grid_resolution):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vals = lattice_image(problem, pts)
+                    if require_efficient:
+                        dominated.append(_dominates(cone, row_sub(vals, f_bar), rtol))
+                    prods = vals @ cone.dual_generators.T
+                yield start, prods
+
+        walks = _screened_walks(cone, products(), [f_bar + schedule[:, None] * c for c in dirs])
+        if any(dominated):
+            raise HypothesisNotMet(_NOT_EFFICIENT)
+        columns = [_curve(box, grid_resolution, walk) for walk in walks]
     else:
+        if require_efficient and _dominated(problem, f_bar, grid_resolution):
+            raise HypothesisNotMet(_NOT_EFFICIENT)
         # above the store cap, trade time for memory: one lattice pass per direction
         columns = []
         for c in dirs:
@@ -359,11 +412,40 @@ def dh_diagnostic(problem: VectorProblem, x_bar, alpha_schedule=None,
 
 def dh_via_scalarization(problem: VectorProblem, x_bar, level_schedule=None,
                          grid_resolution=201) -> WellPosednessReport:
-    """Equivalent route: run the scalar diagnostic on the oriented-distance
-    scalarization at x_bar and report it as a dh verdict."""
-    x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
-    sp = scalarize_oriented(problem, x_bar)
-    base = tykhonov_diagnostic(sp, level_schedule=level_schedule, grid_resolution=grid_resolution)
-    return replace(base, kind="dh-scalarized", label=problem.label, point=x_bar,
-                   details={**base.details, "route": "oriented-distance-scalarization"})
+    """Equivalent route: the diagnostic of tykhonov_diagnostic on the
+    oriented-distance scalarization x -> D(f(x) - f(x_bar))
+    (problem.scalarize_oriented), reported as a dh verdict.
 
+    No level exceeds the top level: D at x_bar's nearest lattice point,
+    an upper bound of the lattice infimum, plus the largest offset.  A row
+    whose largest facet product exceeds the top level by more than twice
+    its certificate tolerance has D above every level (distance._beyond),
+    so it is never projected and keeps that product, which is above every
+    level too, in place of D.  Every other row's D comes from
+    oriented_distance_batch with the bits of the whole lattice's batch, so
+    the infimum, argmin, members and curve are those of the scalarization's
+    own diagnostic.  Should the infimum plus the largest offset exceed the
+    top level (an evaluator whose image of one point differs from its image
+    in a batch), the lattice is scanned again with every row projected.  A
+    non-finite lattice image or value raises InputError.
+    """
+    x_bar, f_bar = finite_image(problem, x_bar)
+    schedule = _validate_schedule(level_schedule, "level_schedule")
+    box, cone = problem.domain, problem.cone
+
+    def distances(pts, top_level=np.inf):
+        diff = row_sub(lattice_image(problem, pts), f_bar)
+        top = _facet_top(cone, diff)
+        rows = np.flatnonzero(~_beyond(cone, diff, top, top_level))
+        top[rows] = oriented_distance_batch(cone, diff[rows])
+        return top
+
+    near, _ = box.nearest_lattice_point(grid_resolution, x_bar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top_level = float(distances(near[None, :])[0]) + schedule[0]
+    values = finite_values(box.map_lattice(grid_resolution, lambda pts: distances(pts, top_level)))
+    if not values.min() + schedule[0] <= top_level:
+        values = finite_values(box.map_lattice(grid_resolution, distances))
+    return _infimum_report(box, grid_resolution, schedule, values,
+                           {"route": "oriented-distance-scalarization"},
+                           kind="dh-scalarized", label=problem.label, point=x_bar)

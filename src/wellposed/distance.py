@@ -9,16 +9,19 @@ NumericalFailure.  Inside, the distance to the complement is the smallest
 facet-hyperplane distance, so the value is the largest facet margin.
 Outside too the largest facet margin bounds the value from below:
 y - P_{C*}(y) = P_{-C}(y) lies in -C, so <xi, y> <= <xi, P_{C*}(y)> <=
-||P_{C*}(y)|| for every unit dual generator xi.  One routine,
-_oriented_distance_upto, gives the values up to a level and projects only
-the rows whose margin can reach it.  The batch is its level = +inf case;
-the strict-efficiency scan reads it up to a small positive level, and the
-weak-efficiency scan up to a negative one, -tol, which no row outside -C
-can reach unless ||y|| exceeds about 5e8 * tol, so that scan projects no
-row of a moderate image.  A single point runs the same products and
-projection on its one row, so one row alone, any subset of a batch and
-the whole batch give the same bits.  A sampled max over dual directions
-provides an always-below cross-check of the same quantity.
+||P_{C*}(y)|| for every unit dual generator xi, up to a certificate
+tolerance (_beyond).  One routine, _oriented_distance_upto, gives the
+values up to a level and projects only the rows whose margin can reach
+it.  The batch is its level = +inf case; the strict-efficiency scan reads
+it up to a small positive level, and the weak-efficiency scan up to a
+negative one, -tol, which no row outside -C can reach unless ||y||
+exceeds about 5e8 * tol, so that scan projects no row of a moderate
+image.  The scalarized DH diagnostic prunes by _beyond at its top level
+and takes the other rows' values from the batch.  A single point runs
+the same products and projection on its one row, so one row alone, any
+subset of a batch and the whole batch give the same bits.  A sampled max
+over dual directions provides an always-below cross-check of the same
+quantity.
 """
 
 from __future__ import annotations
@@ -135,10 +138,15 @@ def oriented_distance_batch(cone: OrderingCone, points):
     return _oriented_distance_upto(cone, pts, np.inf)
 
 
-def _oriented_distance_upto(cone: OrderingCone, points, level):
-    """(n,) oriented-distance values of an (n, m) float array: the largest
-    facet margin inside -C and ||P_{C*}(y)|| outside, on every row whose
-    value can be at most level, and +inf, unprojected, on the other rows.
+def _facet_top(cone: OrderingCone, points):
+    """(n,) largest facet product <g, y> over the dual generators g of each
+    row y of an (n, m) float array, by the many-row kernel."""
+    return row_max(_many_row_product(points, cone.dual_generators.T))
+
+
+def _beyond(cone: OrderingCone, points, top, level):
+    """(n,) bool: the rows of points, with largest facet products top,
+    whose oriented distance is certainly above level.
 
     The value of a row y is at least its largest facet margin less the
     certificate tolerance tol = cone.tol * max(1, ||y||) of
@@ -147,13 +155,24 @@ def _oriented_distance_upto(cone: OrderingCone, points, level):
     projection p has <xi, y - p> <= tol for the dual generators outside
     its support and a residual orthogonal to those inside it, so <xi, y>
     <= ||p|| + tol.  A row whose margin exceeds level + 2 * tol therefore
-    has a value above level; the second tol absorbs rounding.
+    has a value above level; the second tol absorbs rounding.  A NaN row
+    is never beyond.
     """
-    values = row_max(_many_row_product(points, cone.dual_generators.T))
+    tol = cone.tol * np.maximum(1.0, row_norm(points))
+    return top > level + 2.0 * tol
+
+
+def _oriented_distance_upto(cone: OrderingCone, points, level, top=None):
+    """(n,) oriented-distance values of an (n, m) float array: the largest
+    facet margin inside -C and ||P_{C*}(y)|| outside, on every row whose
+    value can be at most level, and +inf, unprojected, on the rows
+    _beyond it.  top is _facet_top(cone, points) when the caller has
+    formed it, and is not written to.
+    """
+    values = _facet_top(cone, points) if top is None else top.copy()
     outside = values > cone.tol
     if level < np.inf:
-        tol = cone.tol * np.maximum(1.0, row_norm(points))
-        far = values > level + 2.0 * tol  # a NaN row keeps its NaN value
+        far = _beyond(cone, points, values, level)  # a NaN row keeps its NaN value
         outside &= ~far
         values[far] = np.inf
     norms = values[outside]

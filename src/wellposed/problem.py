@@ -583,11 +583,46 @@ def _nested_members(rows, bounds):
         yield members
 
 
+def _level_bounds(cone, levels):
+    """The bound row <g, y> + tol over the dual generators g of each level y:
+    f(x) <=_C y when every product <g, f(x)> is at most its bound."""
+    return [cone.dual_generators @ y + cone.tol for y in levels]
+
+
 def _level_members(cone, prods, levels):
     """Flat indices of the rows of prods, the products <g, f(x)> with the
     dual generators g, for which f(x) <=_C y, one array per level y: every
     <g, f(x)> <= <g, y> + tol, walked nested (_nested_members)."""
-    return _nested_members(prods, (cone.dual_generators @ y + cone.tol for y in levels))
+    return _nested_members(prods, _level_bounds(cone, levels))
+
+
+def _screened_walks(cone, chunks, level_stacks):
+    """_level_members of each stack of levels over every row of the
+    (start, prods) chunks, from one pass that keeps only the rows that can
+    be members: one lazy walk of member flat-index arrays per stack.
+
+    The screen is the componentwise largest bound row of every level of
+    every stack (a NaN bound holds no row and is passed over).  A row above
+    it in some column is above every bound in that column, so it is in no
+    level set; the rows at or below it are kept, chunk by chunk, with their
+    flat indices.  Each walk tests the same rows against the same bounds as
+    over all the rows: every chunk's kept rows are walked in step, and each
+    level's members are mapped back through the kept indices and joined in
+    flat-index order.  The rows are never joined, so at most the products
+    of the whole lattice and one index per row are held.
+    """
+    bounds = [_level_bounds(cone, levels) for levels in level_stacks]
+    screen = np.fmax.reduce(np.concatenate(bounds), axis=0)
+    kept = []
+    for start, prods in chunks:
+        keep = np.flatnonzero(row_all_le(prods, screen))
+        kept.append((prods[keep], start + keep))
+
+    def walk(bound_rows):
+        in_step = [map(flat.__getitem__, _nested_members(rows, bound_rows)) for rows, flat in kept]
+        return (np.concatenate(level) for level in zip(*in_step))
+
+    return [walk(b) for b in bounds]
 
 
 def level_set(problem: VectorProblem, y, grid_resolution):

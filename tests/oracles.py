@@ -3,12 +3,15 @@
 Everything here is deliberately written from scratch (closed forms, dense
 scans, plain loops) rather than imported from the package, so a test
 failure localizes to either the library or the oracle but never to shared
-code.  The one exception is DescentParser, which checks only the parse: it
-shares the package's lexer and node builders, so equal parses give equal
-closures and bit-identical images.
+code.  Two exceptions: DescentParser, which checks only the parse, shares
+the package's lexer and node builders, so equal parses give equal
+closures and bit-identical images; and scalarized_dh_by_tykhonov is
+dh_via_scalarization's former route, the package's own scalarization and
+Tykhonov diagnostic composed, which the pruned route must reproduce.
 """
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -17,8 +20,10 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
+from wellposed.diagnostics import tykhonov_diagnostic
 from wellposed.errors import ConfigError
 from wellposed.expr import _bin, _column, _tokenize, _un
+from wellposed.problem import scalarize_oriented
 
 
 def orthant_distance(y):
@@ -237,6 +242,24 @@ def dominated_on_lattice(images, f_bar, dual_generators, hard_tol, tol):
     margins = ((f_bar[None, :] - images) @ np.asarray(dual_generators, dtype=float).T).min(axis=1)
     sizes = np.linalg.norm(images - f_bar[None, :], axis=1)
     return bool(np.any((margins >= -hard_tol) & (sizes > tol)) or np.any(margins > tol))
+
+
+def stored_level_members(prods, bounds):
+    """Member row indices of each bound row, every level tested on every
+    row of the whole stored product array: np.all(prods <= bound, axis=1),
+    as dh_diagnostic's store walked levels before it was screened."""
+    return [np.flatnonzero(np.all(prods <= bound, axis=1)) for bound in bounds]
+
+
+def scalarized_dh_by_tykhonov(problem, x_bar, schedule, resolution):
+    """dh_via_scalarization's former route: the Tykhonov diagnostic of the
+    oriented-distance scalarization at x_bar, every lattice row projected,
+    relabelled as a dh report."""
+    x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
+    base = tykhonov_diagnostic(scalarize_oriented(problem, x_bar), level_schedule=schedule,
+                               grid_resolution=resolution)
+    return replace(base, kind="dh-scalarized", label=problem.label, point=x_bar,
+                   details={**base.details, "route": "oriented-distance-scalarization"})
 
 
 def exact_level_members(images, levels, dual_generators, tol, band=1e-12):

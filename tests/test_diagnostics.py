@@ -33,14 +33,17 @@ from wellposed import (
 )
 from wellposed import diagnostics as diagnostics_module
 from wellposed import distance as distance_module
+from wellposed import problem as problem_module
 from wellposed.diagnostics import DECAY_RATIO, DEFAULT_ALPHA_SCHEDULE, STRICT_DELTA, TOL_ABS
 from wellposed.distance import _oriented_distance_upto
-from wellposed.problem import LATTICE_CAP, _nested_members
+from wellposed.problem import LATTICE_CAP, _nested_members, _screened_walks
 
 from oracles import (
     dominated_on_lattice,
     orthant_dom_witness,
     orthant_weak_witness,
+    scalarized_dh_by_tykhonov,
+    stored_level_members,
     weakly_efficient_by_distance_image,
 )
 
@@ -482,6 +485,48 @@ def test_over_cap_dh_evaluates_the_lattice_once_per_direction(monkeypatch):
     assert sum(evaluated) == 1 + report.directions.shape[0] * 41 ** 2
 
 
+def counting(problem):
+    """(problem with a counting evaluator, the list of batch sizes it was called with)."""
+    evaluated = []
+
+    def counted(points):
+        evaluated.append(len(points))
+        return problem.evaluator(points)
+
+    return dataclasses.replace(problem, evaluator=counted), evaluated
+
+
+def test_in_cap_dh_evaluates_the_lattice_once_with_its_efficiency_gate():
+    problem, evaluated = counting(registry.get("quad-2d").build())
+    dh_diagnostic(problem, [0.5, 0.0], grid_resolution=41)
+    # f(x_bar), then one pass whose chunks feed both the gate and the level walks
+    assert sum(evaluated) == 1 + 41 ** 2
+
+
+def test_scalarized_dh_evaluates_the_lattice_once():
+    problem, evaluated = counting(registry.get("quad-2d").build())
+    dh_via_scalarization(problem, [0.5, 0.0], grid_resolution=41)
+    # f(x_bar), f at its nearest lattice point for the top level, then one pass
+    assert evaluated[:2] == [1, 1] and sum(evaluated) == 2 + 41 ** 2
+
+
+def test_scalarized_dh_rescans_when_the_one_point_bound_is_below_the_infimum():
+    # an evaluator whose image of one point lies 1 below its batch image: the
+    # bound from x_bar's lattice point falls under the lattice infimum, so
+    # rows of the walk's levels could be pruned, and the lattice is rescanned
+    base = registry.get("quad-pair").build()
+
+    def lower_alone(points):
+        values = base.evaluator(points)
+        return values - 1.0 if len(points) == 1 else values
+
+    problem, evaluated = counting(dataclasses.replace(base, evaluator=lower_alone))
+    got = dh_via_scalarization(problem, [0.0], grid_resolution=201)
+    assert sum(evaluated) == 2 + 2 * 201
+    want = scalarized_dh_by_tykhonov(problem, [0.0], None, 201)
+    assert verdict_text(got) == verdict_text(want)
+
+
 def test_report_schedule_does_not_alias_the_default():
     before = DEFAULT_ALPHA_SCHEDULE.copy()
     reports = [tykhonov_diagnostic(scalarize_linear(quad_pair(), [1.0, 0.0]), grid_resolution=11),
@@ -545,6 +590,91 @@ def test_nested_walk_equals_the_per_level_test(m, data):
         list(_nested_members(values[:, None], (np.array([inf + off]) for off in schedule))), want)
 
 
+@pytest.mark.kernel
+@settings(deadline=None, max_examples=80)
+@given(st.integers(2, 4), st.data())
+def test_screened_walks_equal_the_stored_per_level_test(m, data):
+    n = data.draw(st.integers(m, 6))
+    first = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    rest = data.draw(st.lists(st.integers(-3, 3), min_size=n * (m - 1), max_size=n * (m - 1)))
+    gens = np.column_stack([first, np.reshape(rest, (n, m - 1))]).astype(float)
+    try:
+        cone = OrderingCone(m, gens)
+    except InputError:
+        assume(False)  # not solid
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f_bar = data.draw(st.sampled_from([1.0, 1e6, 1e12])) * rng.normal(size=m)
+    step = data.draw(st.sampled_from([2.0**-3, 2.0**-20, 2.0**-45]))
+    images = f_bar + step * rng.integers(-6, 7, size=(400, m)) @ cone.generators[:m]
+    prods = images @ cone.dual_generators.T
+    powers = np.sort(data.draw(st.lists(st.integers(0, 70), min_size=1, max_size=12,
+                                        unique=True)))
+    schedule = 2.0 ** -powers.astype(float)
+    dirs = np.vstack([cone.interior_direction_battery(),
+                      rng.uniform(0.1, 1.0, size=n) @ cone.generators])
+    stacks = [f_bar + schedule[:, None] * c for c in dirs]
+    bounds = [[cone.dual_generators @ y + cone.tol for y in stack] for stack in stacks]
+    every = np.concatenate(bounds)
+    screen = every.max(axis=0)
+    # rows on the screen, rows one ulp above it in one column, rows on single
+    # bound rows, and a NaN row
+    f = screen.size
+    prods[:3] = screen
+    prods[3:3 + f] = screen
+    prods[np.arange(3, 3 + f), np.arange(f)] = np.nextafter(screen, np.inf)
+    picks = rng.integers(0, len(every), size=20)
+    prods[100:120] = every[picks]
+    prods[200, 0] = np.nan
+    cuts = sorted(data.draw(st.lists(st.integers(1, 399), max_size=6, unique=True)))
+    chunks = [(a, prods[a:b]) for a, b in zip([0] + cuts, cuts + [400])]
+    walks = _screened_walks(cone, iter(chunks), stacks)
+    assert len(walks) == len(stacks)
+    for walk, rows in zip(walks, bounds):
+        assert_same_levels(list(walk), stored_level_members(prods, rows))
+
+
+@pytest.mark.kernel
+def test_scalarized_reports_equal_the_tykhonov_diagnostic_of_the_scalarization():
+    # the pruned route against the composition it replaced, byte for byte
+    cases = list(gate_cases())
+    cases.append(("diagnose-3d off the lattice", load_problem(DIAGNOSE3D), 41,
+                  [(0.013, -0.021, 0.034)]))
+    for label, problem, res, points in cases:
+        for x_bar in points:
+            got = dh_via_scalarization(problem, x_bar, grid_resolution=res)
+            want = scalarized_dh_by_tykhonov(problem, x_bar, None, res)
+            assert verdict_text(got) == verdict_text(want), (label, x_bar)
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("chunk", [problem_module.CHUNK, 1])
+def test_a_zero_witness_margin_keeps_its_sign(monkeypatch, chunk):
+    # f(x) - f(1) = (0, x - 1): the margin of its negation is min(+0.0, 1 - x),
+    # while the negated largest facet product is -max(+0.0, x - 1) = -0.0
+    monkeypatch.setattr(problem_module, "CHUNK", chunk)
+    problem = problem_from_mapping({
+        "label": "zero-sign", "decision_dim": 1, "objective_dim": 2,
+        "domain": {"lower": [-1.0], "upper": [1.0]},
+        "cone": {"generators": [[1.0, 0.0], [0.0, 1.0]]},
+        "objective": ["x1 - x1", "x1"]})
+    verdict = classify_point(problem, (1.0,), grid_resolution=21)
+    witness = verdict.witnesses["efficient"]
+    assert verdict.efficient == NO and verdict.weakly_efficient == YES
+    assert witness["margin"].hex() == (0.0).hex()
+    diff = problem.evaluate(witness["x"][None, :]) - problem.evaluate_one((1.0,))
+    assert (-(diff @ problem.cone.dual_generators.T).max()).hex() == (-0.0).hex()
+
+
+@pytest.mark.kernel
+def test_a_one_row_chunk_keeps_the_margins_of_its_own_kernel(monkeypatch):
+    # numpy's one-row product rounds differently from its many-row one, so
+    # with one point per chunk each witness margin is cone.margins of its
+    # row alone, as it was before the chunk's products were shared
+    monkeypatch.setattr(problem_module, "CHUNK", 1)
+    problem, x_bar = load_problem(DIAGNOSE3D), (-0.5, -0.5, 0.5)
+    witness = classify_point(problem, x_bar, grid_resolution=11).witnesses["efficient"]
+    diff = problem.evaluate(witness["x"][None, :]) - problem.evaluate_one(x_bar)
+    assert witness["margin"].hex() == float(problem.cone.margins(-diff)[0]).hex()
 
 @pytest.mark.kernel
 @pytest.mark.parametrize("label", registry.labels() + ("diagnose-3d",))
@@ -608,8 +738,9 @@ def test_strict_band_rows_reach_the_face_support_stage():
 
 
 def verdict_text(verdict):
-    """Byte-exact text of an EfficiencyVerdict: strings and ints by repr,
-    floats by hex, arrays by their bytes, witness fields in sorted order."""
+    """Byte-exact text of an EfficiencyVerdict or a WellPosednessReport:
+    strings and ints by repr, floats by hex, arrays by their bytes, dict
+    fields in sorted order."""
     def canon(obj):
         if isinstance(obj, dict):
             return "{" + ",".join(f"{k}:{canon(obj[k])}" for k in sorted(obj)) + "}"

@@ -39,7 +39,7 @@ def test_tracer_installs_and_counts_a_small_run():
     # dh's efficiency gate reads only the domination rule, not a whole classification
     assert "diagnostics.classify_point" not in calls
     assert calls["problem.diameter"] == 11 * 3  # every level of 3 directions holds x_bar
-    # one pass each: level_set, dh's efficiency gate, dh_diagnostic's lattice image
-    assert counts["problem.lattice_passes"] == 3
-    assert counts["problem.points_evaluated"] == 3 * 21 + 1  # and f(x_bar) once, in dh
+    # one pass each: level_set, and dh_diagnostic's, which feeds its efficiency gate too
+    assert counts["problem.lattice_passes"] == 2
+    assert counts["problem.points_evaluated"] == 2 * 21 + 1  # and f(x_bar) once, in dh
     assert counts["problem.diameter_points"] > 0
